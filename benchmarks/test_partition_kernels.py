@@ -1,13 +1,14 @@
 """Array-kernel DP speedup gate (the PR's headline optimisation).
 
 Times cold table builds of the three partition DPs — heterogeneous
-1F1B, the uniform chain, and the CDM bidirectional DP — under both
-engines on a fig13c/d-flavoured lattice: the CDM-LSUN down backbone on
-one NVSwitch node's cost constants, swept across the group sizes the
-figure's cluster sweep visits (D up to 64 devices) at two stage
-counts.  The gate is on the
-*aggregate* ratio (total reference seconds / total array seconds), so
-the lattice's mass distribution is part of the contract: the
+1F1B, the uniform chain, and the CDM bidirectional DP — on the array
+kernels and on their :mod:`repro.oracles` recursions (substituted at
+the builder call site) on a fig13c/d-flavoured lattice: the CDM-LSUN
+down backbone on one NVSwitch node's cost constants, swept across the
+group sizes the figure's cluster sweep visits (D up to 64 devices) at
+two stage counts.  The gate is on the *aggregate* ratio (total
+reference seconds / total array seconds), so the lattice's mass
+distribution is part of the contract: the
 heterogeneous shapes dominate, exactly where the planner spends its
 time on fig13c/d-class sweeps with ``heterogeneous_replication``.
 
@@ -34,6 +35,7 @@ from repro.core.partition import (
     _het_frontiers,
 )
 from repro.core.partition_cdm import CDMPartitionContext, _cdm_frontiers
+from tests.conftest import reference_dp_tables
 
 #: required aggregate cold-build speedup of the array engine
 MIN_AGGREGATE_SPEEDUP = 5.0
@@ -89,35 +91,37 @@ def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
         down=_ctx(lsun_profile, down, M=8), up=_ctx(lsun_profile, up, M=8)
     )
 
-    def het(S, D, kern):
-        return lambda: _het_frontiers(
-            ctx, L, S, D, PlannerCaches(), dp_kernel=kern
-        )
+    def het(S, D):
+        return lambda: _het_frontiers(ctx, L, S, D, PlannerCaches())
 
-    def chain(kern):
-        return lambda: _chain_frontiers(
-            ctx, 2, L, 4, PlannerCaches(), dp_kernel=kern
-        )
+    def chain():
+        return _chain_frontiers(ctx, 2, L, 4, PlannerCaches())
 
-    def cdm(kern):
-        return lambda: _cdm_frontiers(
+    def cdm():
+        return _cdm_frontiers(
             cctx, 4, 2, PlannerCaches(), cut_step=2, max_frontier=8,
-            ld=ld, lu=lu, dp_kernel=kern,
+            ld=ld, lu=lu,
         )
+
+    def on_oracle(build):
+        def run():
+            with reference_dp_tables():
+                build()
+        return run
 
     lattice = [
-        ("het S=4 D=16", het(4, 16, "reference"), het(4, 16, "array")),
-        ("het S=4 D=32", het(4, 32, "reference"), het(4, 32, "array")),
-        ("het S=6 D=32", het(6, 32, "reference"), het(6, 32, "array")),
-        ("het S=4 D=64", het(4, 64, "reference"), het(4, 64, "array")),
-        ("chain S=4", chain("reference"), chain("array")),
-        ("cdm uniform", cdm("reference"), cdm("array")),
+        ("het S=4 D=16", het(4, 16)),
+        ("het S=4 D=32", het(4, 32)),
+        ("het S=6 D=32", het(6, 32)),
+        ("het S=4 D=64", het(4, 64)),
+        ("chain S=4", chain),
+        ("cdm uniform", cdm),
     ]
 
     total_ref = total_arr = 0.0
     rows = []
-    for name, ref_fn, arr_fn in lattice:
-        t_ref, t_arr = _interleaved_floors(ref_fn, arr_fn)
+    for name, build in lattice:
+        t_ref, t_arr = _interleaved_floors(on_oracle(build), build)
         total_ref += t_ref
         total_arr += t_arr
         rows.append((name, t_ref, t_arr))
@@ -148,12 +152,9 @@ def test_array_kernels_identical_tables_on_lattice_shape(lsun, lsun_profile):
     down = lsun.backbone_names[0]
     L = lsun_profile.num_layers(down)
     ctx = _ctx(lsun_profile, down)
-    h_ref, tf_ref = _het_frontiers(
-        ctx, L, 4, 16, PlannerCaches(), dp_kernel="reference"
-    )
-    h_arr, tf_arr = _het_frontiers(
-        ctx, L, 4, 16, PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_tables():
+        h_ref, tf_ref = _het_frontiers(ctx, L, 4, 16, PlannerCaches())
+    h_arr, tf_arr = _het_frontiers(ctx, L, 4, 16, PlannerCaches())
     assert tf_ref == tf_arr
     assert len(h_ref) == len(h_arr)
     for d_ref, d_arr in zip(h_ref, h_arr):

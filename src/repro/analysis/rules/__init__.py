@@ -12,6 +12,7 @@ from . import (  # noqa: F401  (import-for-effect: registry population)
     determinism,
     float_equality,
     lock_discipline,
+    oracle_imports,
     registry_bypass,
 )
 
@@ -20,5 +21,6 @@ __all__ = [
     "determinism",
     "float_equality",
     "lock_discipline",
+    "oracle_imports",
     "registry_bypass",
 ]

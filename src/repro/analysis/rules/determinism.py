@@ -4,8 +4,9 @@ DiffusionPipe's correctness harnesses — golden ``float.hex`` baselines,
 snapshot replay, the differential fill oracles — all assert *bit
 identity*: the same model/cluster/batch must produce the same plan, in
 the same order, in every process.  Four bug classes silently break that
-while passing every functional test, so ``core/``, ``schedule/`` and
-``harness/`` ban them statically:
+while passing every functional test, so ``core/``, ``schedule/``,
+``harness/`` and ``oracles/`` (an oracle that depends on the hash seed
+checks nothing) ban them statically:
 
 * **wall-clock values** — ``time.time()`` / ``time.monotonic()`` /
   ``time.perf_counter()`` (and their ``_ns`` twins, ``datetime.now``):
@@ -92,9 +93,10 @@ class DeterminismRule:
     name = "determinism"
     description = (
         "no wall-clock values, unseeded random, id() keys, or "
-        "set-iteration-ordered output in core/, schedule/, harness/"
+        "set-iteration-ordered output in core/, schedule/, harness/, "
+        "oracles/"
     )
-    scope = ("core/*", "schedule/*", "harness/*")
+    scope = ("core/*", "schedule/*", "harness/*", "oracles/*")
     exclude = ()
 
     def check(self, src: ModuleSource) -> Iterator[Finding]:

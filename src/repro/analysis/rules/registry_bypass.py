@@ -51,6 +51,27 @@ def _is_builder_module(module: str | None) -> bool:
     )
 
 
+def iter_imports(tree: ast.AST) -> Iterator[tuple[ast.stmt, str, bool]]:
+    """``(statement, dotted path, relative)`` for everything an import
+    brings in: ``import a.b`` gives ``a.b``; ``from a import b`` gives
+    ``a`` and ``a.b`` (``b`` may be a submodule or a name).  Relative
+    imports give the path without its leading dots and ``relative=True``
+    (``from .. import x`` gives just ``x``).  Shared by every rule that
+    polices imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.name, False
+        elif isinstance(node, ast.ImportFrom):
+            relative = node.level > 0
+            base = node.module or ""
+            if base:
+                yield node, base, relative
+            for alias in node.names:
+                path = f"{base}.{alias.name}" if base else alias.name
+                yield node, path, relative
+
+
 @register_rule("registry-bypass")
 class RegistryBypassRule:
     name = "registry-bypass"
@@ -62,29 +83,18 @@ class RegistryBypassRule:
     exclude = ("schedule/*",)
 
     def check(self, src: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.ImportFrom):
-                # ``from ..schedule.onef1b import ...`` / absolute spelling
-                if _is_builder_module(node.module):
-                    yield src.finding(
-                        node, self.name,
-                        f"imports builder module {node.module!r}; go "
-                        "through repro.schedule.get_family",
-                    )
+        for node, path, _ in iter_imports(src.tree):
+            if _is_builder_module(path):
+                # ``from ..schedule.onef1b import ...`` / ``import ...``
+                yield src.finding(
+                    node, self.name,
+                    f"imports builder module {path!r}; go through "
+                    "repro.schedule.get_family",
+                )
+            elif path.rsplit(".", 1)[-1] in BUILDER_NAMES:
                 # ``from ..schedule import build_1f1b``
-                for alias in node.names:
-                    if alias.name in BUILDER_NAMES:
-                        yield src.finding(
-                            node, self.name,
-                            f"imports builder {alias.name!r}; go through "
-                            "repro.schedule.get_family",
-                        )
-            elif isinstance(node, ast.Import):
-                # ``import repro.schedule.onef1b``
-                for alias in node.names:
-                    if _is_builder_module(alias.name):
-                        yield src.finding(
-                            node, self.name,
-                            f"imports builder module {alias.name!r}; go "
-                            "through repro.schedule.get_family",
-                        )
+                yield src.finding(
+                    node, self.name,
+                    f"imports builder {path.rsplit('.', 1)[-1]!r}; go "
+                    "through repro.schedule.get_family",
+                )

@@ -13,9 +13,9 @@ Commands
 ``table1`` / ``table2``
     Print the profiling tables of §2.
 ``bench``
-    Measure headline performance numbers (cold/warm DP table builds
-    under both engines, one sweep's wall-clock) and print them, or
-    emit stable-schema JSON with ``--json`` for CI artifacts.
+    Measure headline performance numbers (cold/warm DP table builds,
+    one sweep's wall-clock) and print them, or emit stable-schema JSON
+    with ``--json`` for CI artifacts.
 ``serve``
     Run the concurrent planning service (JSON lines over TCP).
 ``bench-serve``
@@ -47,7 +47,7 @@ from .core import (
     extract_bubbles,
     fill_strategy_names,
 )
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .harness import format_table, pct
 from .models import zoo
 from .profiling import Profiler
@@ -62,9 +62,16 @@ MODELS: dict[str, Callable] = {
 }
 
 
+# The builders below raise ConfigurationError, never SystemExit: the
+# planning service calls them too, and main() turns any ReproError into
+# a one-line exit for the CLI.
+
+
 def _build_model(name: str, self_conditioning: bool | None):
     if name not in MODELS:
-        raise SystemExit(f"unknown model {name!r}; options: {sorted(MODELS)}")
+        raise ConfigurationError(
+            f"unknown model {name!r}; options: {sorted(MODELS)}"
+        )
     factory = MODELS[name]
     if name in ("cdm-lsun", "cdm-imagenet"):
         return factory()
@@ -85,10 +92,10 @@ def _parse_speed_factors(items) -> dict[int, float] | None:
                 raise ValueError
             out[int(rank)] = float(factor)
         except ValueError:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--speed-factors entries look like RANK=FACTOR "
                 f"(e.g. 0=0.5), got {item!r}"
-            )
+            ) from None
     return out
 
 
@@ -97,19 +104,19 @@ def _build_cluster(gpus: int, speed_factors=None):
     model one NVSwitch node — e.g. ``--gpus 6`` plans the non-divisible
     clusters the heterogeneous DPs exist for."""
     if gpus < 2:
-        raise SystemExit("--gpus must be at least 2")
+        raise ConfigurationError("--gpus must be at least 2")
+    if gpus > 8 and gpus % 8:
+        raise ConfigurationError(
+            "--gpus beyond one machine must be a multiple of 8 (p4de)"
+        )
     factors = _parse_speed_factors(speed_factors)
     try:
         if gpus % 8 == 0:
             return p4de_cluster(gpus // 8, speed_factors=factors)
-        if gpus > 8:
-            raise SystemExit(
-                "--gpus beyond one machine must be a multiple of 8 (p4de)"
-            )
         return single_node(gpus, speed_factors=factors)
     except ReproError as exc:
         # Out-of-range ranks, non-positive factors.
-        raise SystemExit(f"invalid --speed-factors: {exc}")
+        raise ConfigurationError(f"invalid --speed-factors: {exc}") from exc
 
 
 def _group_sizes(cluster) -> tuple[int, ...]:
@@ -169,9 +176,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 keep_timeline=True,
                 heterogeneous_replication=args.heterogeneous,
                 fill_strategy=args.fill_strategy,
-                lookahead_beam=args.lookahead_beam,
                 schedule=args.schedule,
-                dp_kernel=args.dp_kernel,
             ),
         )
         ev = planner.plan(args.batch)
@@ -232,9 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         group_sizes=_group_sizes(cluster),
         heterogeneous_replication=args.heterogeneous,
         fill_strategy=args.fill_strategy,
-        lookahead_beam=args.lookahead_beam,
         schedule=args.schedule,
-        dp_kernel=args.dp_kernel,
     )
     try:
         planner = DiffusionPipePlanner(model, cluster, profile, options=opts)
@@ -425,81 +428,45 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_models
     )
 
+    def planner_args(p: argparse.ArgumentParser) -> None:
+        """Model, cluster and planner options shared by plan and sweep."""
+        p.add_argument("--model", default="sd", choices=sorted(MODELS))
+        p.add_argument("--gpus", type=int, default=8)
+        p.add_argument("--self-conditioning", action="store_true",
+                       default=None)
+        p.add_argument("--heterogeneous", action="store_true",
+                       help="allow per-stage replica counts (non-divisible "
+                            "S, D) for all models; for cdm-* each chain "
+                            "position's count is shared by its co-located "
+                            "down/up stages")
+        p.add_argument("--speed-factors", nargs="+", metavar="RANK=FACTOR",
+                       help="per-device relative compute speeds (1.0 "
+                            "nominal), e.g. '0=0.5' runs rank 0 at half "
+                            "speed; the partitioner prices each stage "
+                            "window at its bottleneck device")
+        p.add_argument("--fill-strategy", default="greedy",
+                       choices=fill_strategy_names(),
+                       help="bubble-filling policy: greedy (the paper's "
+                            "Algorithms 1+2), lookahead (plans across "
+                            "bubbles, never worse than greedy), none "
+                            "(leave bubbles idle)")
+        p.add_argument("--schedule", default="auto",
+                       choices=("auto",) + schedule_family_names(),
+                       help="pipeline schedule family; auto picks onef1b "
+                            "for single-backbone models and bidirectional "
+                            "for cascaded ones")
+
     p = sub.add_parser("plan", help="plan one training configuration")
-    p.add_argument("--model", default="sd", choices=sorted(MODELS))
-    p.add_argument("--gpus", type=int, default=8)
+    planner_args(p)
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--self-conditioning", action="store_true", default=None)
-    p.add_argument("--heterogeneous", action="store_true",
-                   help="allow per-stage replica counts (non-divisible S, D) "
-                        "for all models; for cdm-* each chain position's "
-                        "count is shared by its co-located down/up stages")
-    p.add_argument("--speed-factors", nargs="+", metavar="RANK=FACTOR",
-                   help="per-device relative compute speeds (1.0 nominal), "
-                        "e.g. '0=0.5' runs rank 0 at half speed; the "
-                        "partitioner prices each stage window at its "
-                        "bottleneck device")
-    p.add_argument("--fill-strategy", default="greedy",
-                   choices=fill_strategy_names(),
-                   help="bubble-filling policy: greedy (the paper's "
-                        "Algorithms 1+2), lookahead (plans across bubbles, "
-                        "never worse than greedy), lookahead_reference "
-                        "(its unpruned oracle), none (leave bubbles idle)")
-    p.add_argument("--lookahead-beam", type=int, default=64,
-                   help="beam-width cap of the lookahead fill strategies; "
-                        "lookahead runs narrower by default and widens up "
-                        "to this at decision points")
-    p.add_argument("--schedule", default="auto",
-                   choices=("auto",) + schedule_family_names(),
-                   help="pipeline schedule family; auto picks onef1b for "
-                        "single-backbone models and bidirectional for "
-                        "cascaded ones")
-    p.add_argument("--dp-kernel", default="array",
-                   choices=("array", "reference"),
-                   help="partition DP table-build engine: array (the "
-                        "vectorized numpy kernels, default) or reference "
-                        "(the pure-Python differential oracle); both are "
-                        "bit-identical")
     p.add_argument("--out", help="write the plan JSON here")
     p.add_argument("--trace", help="write a chrome trace here")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sweep", help="compare against the baselines")
-    p.add_argument("--model", default="sd", choices=sorted(MODELS))
-    p.add_argument("--gpus", type=int, default=8)
+    planner_args(p)
     p.add_argument("--batches", type=int, nargs="+",
                    default=[64, 128, 256, 384])
-    p.add_argument("--self-conditioning", action="store_true", default=None)
-    p.add_argument("--heterogeneous", action="store_true",
-                   help="allow per-stage replica counts (non-divisible S, D) "
-                        "for all models; for cdm-* each chain position's "
-                        "count is shared by its co-located down/up stages")
-    p.add_argument("--speed-factors", nargs="+", metavar="RANK=FACTOR",
-                   help="per-device relative compute speeds (1.0 nominal), "
-                        "e.g. '0=0.5' runs rank 0 at half speed; the "
-                        "partitioner prices each stage window at its "
-                        "bottleneck device")
-    p.add_argument("--fill-strategy", default="greedy",
-                   choices=fill_strategy_names(),
-                   help="bubble-filling policy: greedy (the paper's "
-                        "Algorithms 1+2), lookahead (plans across bubbles, "
-                        "never worse than greedy), lookahead_reference "
-                        "(its unpruned oracle), none (leave bubbles idle)")
-    p.add_argument("--lookahead-beam", type=int, default=64,
-                   help="beam-width cap of the lookahead fill strategies; "
-                        "lookahead runs narrower by default and widens up "
-                        "to this at decision points")
-    p.add_argument("--schedule", default="auto",
-                   choices=("auto",) + schedule_family_names(),
-                   help="pipeline schedule family; auto picks onef1b for "
-                        "single-backbone models and bidirectional for "
-                        "cascaded ones")
-    p.add_argument("--dp-kernel", default="array",
-                   choices=("array", "reference"),
-                   help="partition DP table-build engine: array (the "
-                        "vectorized numpy kernels, default) or reference "
-                        "(the pure-Python differential oracle); both are "
-                        "bit-identical")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench",
@@ -572,7 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ On top of ownership this module provides:
 
 from __future__ import annotations
 
+import os
 import pickle
+import tempfile
 import threading
 import weakref
 from dataclasses import dataclass
@@ -54,7 +56,9 @@ PREFIX_CACHE_MAX = 8192
 KERNEL_PLAN_CACHE_MAX = 256
 
 SNAPSHOT_MAGIC = "repro-planner-caches"
-SNAPSHOT_VERSION = 1
+#: 2: partition-table keys no longer carry a DP-engine element, so a
+#: version-1 file's entries could load but would never hit
+SNAPSHOT_VERSION = 2
 
 
 class FillShapeCache:
@@ -342,6 +346,10 @@ class PlannerCaches:
         alive: the per-profile stores are weak-keyed, so tables of an
         already-collected :class:`ProfileDB` are silently gone.
 
+        The file is written to a temporary sibling and moved into place
+        with :func:`os.replace`, so an interrupted snapshot leaves any
+        previous file at ``path`` intact.
+
         Returns a per-store count of the entries written.
         """
         fingerprints: dict[int, str] = {}
@@ -385,8 +393,15 @@ class PlannerCaches:
             "version": SNAPSHOT_VERSION,
             "stores": stores,
         }
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return counts
 
     def load(self, path, profiles: Sequence["ProfileDB"]) -> dict:

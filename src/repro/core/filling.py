@@ -415,12 +415,7 @@ class BubbleFiller:
     strategy:
         Name of a registered :class:`~repro.core.fill_strategies.FillStrategy`
         (``greedy`` — the paper's Algorithms 1+2; ``lookahead`` — the
-        pruned cross-bubble beam/DP planner; ``lookahead_reference`` —
-        its unpruned differential oracle; ``none`` — fill nothing).
-    lookahead_beam:
-        Beam-width cap for the lookahead strategies (None: the
-        strategy's default).  The pruned ``lookahead`` runs narrower
-        than this by default and widens up to it at decision points.
+        pruned cross-bubble beam/DP planner; ``none`` — fill nothing).
     fill_cache:
         Optional :class:`FillShapeCache` shared across evaluations
         (normally ``PlannerCaches.fills``); None disables shape caching.
@@ -431,15 +426,6 @@ class BubbleFiller:
     schedule:
         Registry name of the schedule family whose bubbles are being
         filled; joins the shape-cache context identity.
-    shape_quantum:
-        Quantum (ms) for rounding bubble durations when forming
-        shape-cache keys.  ``0.0`` (the default) keys on exact
-        durations — bit-identical to the unquantised cache.  A
-        positive quantum lets timelines whose bubbles differ by less
-        than half a quantum share expansion tables, beam prefixes and
-        final plans: replayed plans are always re-bound to the *actual*
-        bubbles, so only the cache's notion of "same shape" coarsens,
-        never the arithmetic of the returned report.
     """
 
     def __init__(
@@ -452,18 +438,12 @@ class BubbleFiller:
         partial_batch_menu: Sequence[int] = VALID_LOCAL_BATCHES,
         max_candidates: int = DEFAULT_MAX_CANDIDATES,
         strategy: str = "greedy",
-        lookahead_beam: int | None = None,
         fill_cache: "FillShapeCache | None" = None,
         caches: PlannerCaches | None = None,
         schedule: str = "onef1b",
-        shape_quantum: float = 0.0,
     ):
         if batch <= 0:
             raise FillingError("batch must be positive")
-        if lookahead_beam is not None and lookahead_beam < 1:
-            raise FillingError("lookahead_beam must be at least 1")
-        if shape_quantum < 0:
-            raise FillingError("shape_quantum must be non-negative")
         self.profile = profile
         self.model = model
         self.caches = caches if caches is not None else default_caches()
@@ -472,14 +452,11 @@ class BubbleFiller:
         self.partial_batch_menu = tuple(partial_batch_menu)
         self.max_candidates = max_candidates
         self.strategy = strategy
-        self.lookahead_beam = lookahead_beam
         self.fill_cache = fill_cache
         #: schedule family the bubbles came from; part of the shared
         #: shape-cache identity so fills found under one family's
         #: bubble geometry are never replayed under another's
         self.schedule = schedule
-        #: duration-rounding grid of the shape-cache keys (0: exact)
-        self.shape_quantum = float(shape_quantum)
         self.states: dict[str, ComponentState] = {
             comp.name: ComponentState(
                 name=comp.name,

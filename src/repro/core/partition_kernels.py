@@ -4,7 +4,7 @@ The pure-Python Pareto DPs in :mod:`.partition` and
 :mod:`.partition_cdm` spend essentially all of their cold time in loop
 overhead: profiling shows tens of thousands of ``max``/``pareto_insert``
 calls against a few hundred distinct segment-cost evaluations.  This
-module rebuilds the three hot table builds — ``_chain_frontiers``,
+module implements the three hot table builds — ``_chain_frontiers``,
 ``_het_frontiers`` and the shared ``_cdm_dp_table`` engine — as array
 kernels:
 
@@ -18,13 +18,12 @@ kernels:
 * Pareto reduction runs as grouped pairwise dominance filtering over
   sorted candidate segments.
 
-The kernels are *differential twins* of the ``*_reference`` builders:
-they evaluate the same ``max``/``+`` compositions in the same
-associativity, reconstruct the same backtracking pointers, and emit the
-same frontier entries in the same order — bit-identical tables, not
-just equal objectives.  The discipline mirrors ``simulate_reference``
-and ``lookahead_reference``: the reference stays as the oracle, the
-fuzz suite (``tests/test_partition_kernels.py``) diffs the two.
+The kernels are *differential twins* of the pure-Python recursions in
+:mod:`repro.oracles.partition`: they evaluate the same ``max``/``+``
+compositions in the same associativity, reconstruct the same
+backtracking pointers, and emit the same frontier entries in the same
+order — bit-identical tables, not just equal objectives.  The fuzz
+suite (``tests/test_partition_kernels.py``) diffs the two.
 
 Exactness notes
 ---------------
@@ -854,8 +853,8 @@ def _flatten_entries(
 
 
 def chain_table_array(ctx, r: int, L: int, S: int):
-    """Array twin of ``_chain_frontiers_reference`` — same ``(history,
-    tf)``, bit-identical entries in identical order."""
+    """Array twin of :func:`repro.oracles.chain_table_reference` — same
+    ``(history, tf)``, bit-identical entries in identical order."""
     costs = StageCosts(ctx, r)
     sc = ctx.self_conditioning
     zb = ctx.zb_pricing
@@ -945,8 +944,8 @@ def chain_table_array(ctx, r: int, L: int, S: int):
 
 
 def het_table_array(ctx, L: int, S: int, D: int):
-    """Array twin of ``_het_frontiers_reference`` — same ``(history,
-    tf_by_r)``, bit-identical entries and dict orders."""
+    """Array twin of :func:`repro.oracles.het_table_reference` — same
+    ``(history, tf_by_r)``, bit-identical entries and dict orders."""
     sc = ctx.self_conditioning
     zb = ctx.zb_pricing
     r_cap = int(ctx.micro_batch)
@@ -1273,8 +1272,9 @@ def cdm_table_array(
     fixed_r: int | None,
     plans=None,
 ):
-    """Array twin of ``_cdm_dp_table_reference`` — same frontier list,
-    bit-identical entries, dict orders and truncation behaviour.
+    """Array twin of :func:`repro.oracles.cdm_table_reference` — same
+    frontier list, bit-identical entries, dict orders and truncation
+    behaviour.
 
     ``plans`` is an optional mapping-like store (``LruStore``) of
     geometry transition plans, shared across table builds of one sweep.

@@ -113,8 +113,13 @@ class ModelSpec:
         decoder fed by a backbone) but unusual; trainable backbones are
         sorted like any other node.
         """
+        # Predecessors as tuples, not sets: the sorter emits ready nodes
+        # in the order it first meets them, so set iteration would make
+        # the order (and every fill search keyed on it) depend on the
+        # per-process hash seed.
         graph = {
-            name: set(comp.depends_on) for name, comp in self.components.items()
+            name: tuple(comp.depends_on)
+            for name, comp in self.components.items()
         }
         try:
             return list(TopologicalSorter(graph).static_order())

@@ -23,7 +23,7 @@ from .families import (
 from .gpipe import build_gpipe
 from .interleaved import build_interleaved
 from .onef1b import build_1f1b
-from .simulator import simulate, simulate_reference
+from .simulator import simulate
 from .stages import StageExec, validate_stages
 from .tasks import (
     COMPUTE_KINDS,
@@ -46,7 +46,6 @@ __all__ = [
     "schedule_family_names",
     # simulation + data types
     "simulate",
-    "simulate_reference",
     "StageExec",
     "validate_stages",
     "COMPUTE_KINDS",

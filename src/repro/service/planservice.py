@@ -21,13 +21,19 @@ mechanisms keep a request stream cheap:
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ..core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
+from ..core import (
+    DiffusionPipePlanner,
+    PlannerCaches,
+    PlannerOptions,
+    fill_strategy_names,
+)
 from ..errors import ReproError, ServiceError
 from ..profiling import Profiler
 
@@ -38,7 +44,6 @@ REQUEST_FIELDS = (
     "batch",
     "heterogeneous",
     "fill_strategy",
-    "lookahead_beam",
     "self_conditioning",
 )
 
@@ -53,15 +58,37 @@ class PlanRequest:
     batch: int = 256
     heterogeneous: bool = False
     fill_strategy: str = "greedy"
-    lookahead_beam: int = 64
     self_conditioning: bool | None = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlanRequest":
+        """Build a request from wire fields, checking each one's type
+        and range; any violation raises :class:`ServiceError`."""
         unknown = set(data) - set(REQUEST_FIELDS)
         if unknown:
             raise ServiceError(f"unknown request fields: {sorted(unknown)}")
-        return cls(**data)
+        req = cls(**data)
+        # ``type(...) in`` rather than isinstance: bool is an int subclass.
+        checks = (
+            ("model", type(req.model) is str, "a string"),
+            ("gpus", type(req.gpus) is int and req.gpus >= 2,
+             "an integer >= 2"),
+            ("batch", type(req.batch) in (int, float)
+             and math.isfinite(req.batch) and req.batch > 0,
+             "a finite number > 0"),
+            ("heterogeneous", type(req.heterogeneous) is bool, "a boolean"),
+            ("self_conditioning", req.self_conditioning is None
+             or type(req.self_conditioning) is bool, "a boolean or null"),
+            ("fill_strategy", req.fill_strategy in fill_strategy_names(),
+             f"one of {fill_strategy_names()}"),
+        )
+        for field, ok, requirement in checks:
+            if not ok:
+                raise ServiceError(
+                    f"{field} must be {requirement}, "
+                    f"got {getattr(req, field)!r}"
+                )
+        return req
 
 
 @dataclass(frozen=True)
@@ -113,7 +140,6 @@ class _PlannerPool:
             req.gpus,
             req.heterogeneous,
             req.fill_strategy,
-            req.lookahead_beam,
             req.self_conditioning,
         )
         with self._lock:
@@ -123,12 +149,8 @@ class _PlannerPool:
         # Built outside the lock: profiling dominates and is pure, so
         # two threads racing on a new key at worst profile twice; the
         # setdefault below keeps exactly one planner (and profile).
-        from ..cli import MODELS, _build_cluster, _build_model, _group_sizes
+        from ..cli import _build_cluster, _build_model, _group_sizes
 
-        if req.model not in MODELS:
-            raise ServiceError(
-                f"unknown model {req.model!r}; options: {sorted(MODELS)}"
-            )
         model = _build_model(req.model, req.self_conditioning)
         cluster = _build_cluster(req.gpus)
         profile = Profiler(cluster).profile(model)
@@ -142,7 +164,6 @@ class _PlannerPool:
                 group_sizes=_group_sizes(cluster),
                 heterogeneous_replication=req.heterogeneous,
                 fill_strategy=req.fill_strategy,
-                lookahead_beam=req.lookahead_beam,
             ),
             caches=self.caches,
         )

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.cluster import a100_80gb, single_node
+from repro.core import partition_kernels
 from repro.models.zoo import (
     cascaded_model,
     long_layer_model,
@@ -87,3 +91,34 @@ def make_synthetic_db(
         batches=batches,
         trainable={"backbone": True, "encoder": False},
     )
+
+
+# -- oracles at the production call sites ------------------------------------
+
+#: production DP table builder -> the repro.oracles recursion it must match
+DP_TABLE_ORACLES = {
+    "chain_table_array": oracles.chain_table_reference,
+    "het_table_array": oracles.het_table_reference,
+    "cdm_table_array": oracles.cdm_table_reference,
+}
+
+
+@contextmanager
+def reference_dp_tables():
+    """Build every partition DP table with the pure-Python oracles.
+
+    The partitioners look the builders up on ``partition_kernels`` at
+    call time, so everything above them — memo wrappers, objective
+    selection, backtracking, the planner — runs unchanged on the
+    oracle's tables.  Pair with a fresh ``PlannerCaches``: table keys
+    do not name the engine that built them.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for name, oracle in DP_TABLE_ORACLES.items():
+            mp.setattr(partition_kernels, name, oracle)
+        yield
+
+
+def dp_engine(name: str):
+    """``"array"`` (production) or ``"reference"`` (oracle) tables."""
+    return reference_dp_tables() if name == "reference" else nullcontext()

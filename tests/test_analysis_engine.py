@@ -44,6 +44,7 @@ def test_rule_catalog():
         "determinism",
         "float-equality",
         "lock-discipline",
+        "oracle-imports",
         "registry-bypass",
     )
     for name in rule_names():
@@ -116,6 +117,38 @@ def test_registry_bypass_near_misses(tmp_path):
 def test_registry_bypass_skips_schedule_package(tmp_path):
     findings = run(tmp_path, "schedule/families.py",
                    "from .onef1b import build_1f1b\n", ["registry-bypass"])
+    assert findings == []
+
+
+# -- oracle-imports ---------------------------------------------------------
+
+
+def test_oracle_imports_fires_on_every_spelling(tmp_path):
+    findings = run(tmp_path, "core/bad.py", """\
+        from repro.oracles import simulate_reference
+        from repro.oracles.partition import chain_table_reference, het_table_reference
+        from ..oracles import LookaheadReferenceFill
+        from .. import oracles
+        from repro import oracles as o
+        import repro.oracles.simulator
+        """, ["oracle-imports"])
+    assert [f.rule for f in findings] == ["oracle-imports"] * 6
+    assert [f.line for f in findings] == [1, 2, 3, 4, 5, 6]
+
+
+def test_oracle_imports_near_misses(tmp_path):
+    findings = run(tmp_path, "core/ok.py", """\
+        from .partition_kernels import _fold_reference  # production fold
+        from ..schedule import simulate
+        from .core import oracles_note  # a different name entirely
+        import oracles  # not the repro package
+        """, ["oracle-imports"])
+    assert findings == []
+
+
+def test_oracle_imports_skips_oracles_package(tmp_path):
+    findings = run(tmp_path, "oracles/filling.py",
+                   "from ..oracles.partition import x\n", ["oracle-imports"])
     assert findings == []
 
 
@@ -230,6 +263,14 @@ def test_determinism_covers_elastic_path(tmp_path):
     assert len(findings) == 1
     assert findings[0].rule == "determinism"
     assert findings[0].path.endswith("core/elastic.py")
+
+
+def test_determinism_covers_oracles(tmp_path):
+    findings = run(tmp_path, "oracles/partition.py", """\
+        def frontier_order(states):
+            return list(set(states))
+        """, ["determinism"])
+    assert [f.rule for f in findings] == ["determinism"]
 
 
 def test_determinism_scope_excludes_service(tmp_path):

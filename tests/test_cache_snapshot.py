@@ -89,6 +89,41 @@ def test_snapshot_rejects_unknown_version(tmp_path):
         PlannerCaches().load(path, [])
 
 
+def test_snapshot_rejects_version_1_files(tmp_path):
+    """Version 1 keyed partition tables by DP engine; its entries would
+    load but never hit, so the file is refused outright."""
+    path = tmp_path / "v1.snap"
+    with open(path, "wb") as fh:
+        pickle.dump({"magic": SNAPSHOT_MAGIC, "version": 1, "stores": {}}, fh)
+    with pytest.raises(SnapshotError, match="version 1 in"):
+        PlannerCaches().load(path, [])
+
+
+def test_interrupted_snapshot_keeps_the_old_file(tmp_path, monkeypatch):
+    model = stable_diffusion_v2_1()
+    cluster = single_node(2)
+    profile = Profiler(cluster).profile(model)
+    caches = PlannerCaches()
+    _warm_sweep(caches, profile, model, cluster)
+    path = tmp_path / "caches.snap"
+    written = caches.snapshot(path)
+    before = path.read_bytes()
+
+    def dump_then_crash(obj, fh, protocol=None):
+        fh.write(b"partial payload")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pickle, "dump", dump_then_crash)
+    with pytest.raises(KeyboardInterrupt):
+        caches.snapshot(path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["caches.snap"]
+    restored = PlannerCaches().load(path, [profile])
+    assert restored["chains"] == written["chains"]
+
+
 def test_snapshot_rejects_foreign_files(tmp_path):
     not_a_snapshot = tmp_path / "other.pkl"
     with open(not_a_snapshot, "wb") as fh:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError
 
 
 def test_models_command(capsys):
@@ -150,47 +151,39 @@ def test_plan_fill_strategy_flag(capsys, tmp_path):
     assert plan["fill"]["strategy"] == "lookahead"
     assert "candidates_dropped" in plan["fill"]
     assert plan["fill"]["per_bubble"]
-
-
-def test_plan_lookahead_beam_flag(capsys, tmp_path):
-    """--lookahead-beam threads into PlannerOptions; the exported plan
-    carries the search telemetry and the table surfaces it."""
-    plan_path = tmp_path / "plan.json"
-    rc = main([
-        "plan", "--model", "sd", "--gpus", "8", "--batch", "64",
-        "--fill-strategy", "lookahead", "--lookahead-beam", "8",
-        "--out", str(plan_path),
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "lookahead" in out
-    plan = json.loads(plan_path.read_text())
-    assert plan["fill"]["strategy"] == "lookahead"
-    assert "states_pruned" in plan["fill"]
-    assert "beam_peak" in plan["fill"]
+    # the search telemetry reaches the plan JSON and the table
+    assert "states_pruned" in plan["fill"] and "beam_peak" in plan["fill"]
     if plan["fill"]["beam_peak"]:
         assert "beam peak" in out and "states pruned" in out
 
 
-def test_plan_lookahead_beam_rejects_nonpositive():
-    rc = None
-    try:
-        rc = main([
-            "plan", "--model", "sd", "--gpus", "8", "--batch", "64",
-            "--fill-strategy", "lookahead", "--lookahead-beam", "0",
-        ])
-    except Exception:
-        return  # ConfigurationError surfaced — also acceptable
-    assert rc != 0
+@pytest.mark.parametrize("command", ["plan", "sweep"])
+def test_engine_knobs_are_gone(capsys, command):
+    """One production engine per phase: no DP-kernel or beam flags, and
+    the fill-strategy menu offers only the production policies."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "--dp-kernel" not in out and "--lookahead-beam" not in out
+    assert "{greedy,lookahead,none}" in out
+    with pytest.raises(SystemExit):
+        main([command, "--fill-strategy", "lookahead_reference"])
 
 
-def test_plan_fill_strategy_reference(capsys):
-    rc = main([
-        "plan", "--model", "sd", "--gpus", "8", "--batch", "64",
-        "--fill-strategy", "lookahead_reference",
-    ])
-    assert rc == 0
-    assert "lookahead_reference" in capsys.readouterr().out
+def test_cluster_builder_raises_configuration_error():
+    """Library callers (the planning service) get a typed error, never
+    SystemExit; main() turns it into the CLI's one-line exit."""
+    from repro.cli import _build_cluster, _build_model, _parse_speed_factors
+
+    for gpus in (0, 12):
+        with pytest.raises(ConfigurationError):
+            _build_cluster(gpus)
+    with pytest.raises(ConfigurationError, match="unknown model"):
+        _build_model("gpt5", None)
+    with pytest.raises(ConfigurationError, match="RANK=FACTOR"):
+        _parse_speed_factors(["half"])
+    with pytest.raises(SystemExit, match="multiple of 8"):
+        main(["plan", "--gpus", "12"])
 
 
 def test_plan_fill_strategy_none(capsys):

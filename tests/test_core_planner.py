@@ -7,6 +7,8 @@ from repro.core.caches import PlannerCaches
 from repro.errors import ConfigurationError
 from repro.models.zoo import uniform_model
 
+from .conftest import dp_engine
+
 
 def _options(**kw):
     base = dict(
@@ -133,21 +135,19 @@ def test_planner_options_validation():
         PlannerOptions(max_stages=1)
     with pytest.raises(ConfigurationError):
         PlannerOptions(micro_batch_counts=())
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(dp_kernel="simd")
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(fill_shape_quantum=-0.5)
 
 
 def test_planner_engines_agree_end_to_end(uniform, uniform_profile, cluster8):
-    """The full planner sweep is bit-identical under both DP engines."""
+    """The full planner sweep is bit-identical on the array kernels'
+    tables and on the oracles' (substituted at the builder call site)."""
     plans = {}
     for kern in ("array", "reference"):
-        planner = DiffusionPipePlanner(
-            uniform, cluster8, uniform_profile,
-            _options(dp_kernel=kern), caches=PlannerCaches(),
-        )
-        plans[kern] = planner.plan(64)
+        with dp_engine(kern):
+            planner = DiffusionPipePlanner(
+                uniform, cluster8, uniform_profile,
+                _options(), caches=PlannerCaches(),
+            )
+            plans[kern] = planner.plan(64)
     a, r = plans["array"], plans["reference"]
     assert a.plan.throughput.hex() == r.plan.throughput.hex()
     assert a.plan.iteration_ms.hex() == r.plan.iteration_ms.hex()

@@ -28,9 +28,9 @@ from repro.schedule import (
     TaskKind,
     get_family,
     simulate,
-    simulate_reference,
     validate_task_graph,
 )
+from repro.oracles import simulate_reference
 
 COMPUTE_FWD = (TaskKind.FORWARD,)
 COMPUTE_BWD = (TaskKind.BACKWARD, TaskKind.BACKWARD_W)

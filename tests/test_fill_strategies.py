@@ -23,6 +23,7 @@ from repro.core.plan import FillItem
 from repro.errors import ConfigurationError, FillingError
 from repro.models import ModelSpec
 from repro.models.zoo import timed_component, uniform_model
+from repro.oracles import LookaheadReferenceFill
 from repro.profiling import ProfileDB
 
 
@@ -319,33 +320,6 @@ def test_lookahead_beam_cut_still_not_worse_than_greedy():
     assert filler.leftover_ms(2) == report.leftover_ms
 
 
-def test_planner_options_validate_lookahead_beam(uniform, uniform_profile):
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(lookahead_beam=0)
-    assert PlannerOptions(lookahead_beam=8).lookahead_beam == 8
-    with pytest.raises(FillingError):
-        BubbleFiller(uniform_profile, uniform, batch=64, lookahead_beam=0)
-
-
-def test_lookahead_beam_threads_from_filler():
-    """``BubbleFiller.lookahead_beam`` overrides the strategy default
-    for both lookahead strategies (a beam of 1 degenerates the search,
-    but the greedy floor keeps the guarantee)."""
-    times = {"c0": [(22.5, 0.0)] * 2, "c1": [(66.5, 0.0)] * 3}
-    db = _db(times)
-    model = _nt_model("beamk", {"c0": 2, "c1": 3})
-    bubbles = [_bubble(30.0), _bubble(42.0, weight=2, start=40.0),
-               _bubble(28.5, weight=2, start=90.0)]
-    greedy = BubbleFiller(db, model, batch=64, strategy="greedy").fill(
-        bubbles, leftover_devices=2
-    )
-    for strategy in ("lookahead", "lookahead_reference"):
-        report = BubbleFiller(
-            db, model, batch=64, strategy=strategy, lookahead_beam=1
-        ).fill(bubbles, leftover_devices=2)
-        assert report.leftover_ms <= greedy.leftover_ms
-
-
 def test_lookahead_telemetry_populated():
     times = {"c0": [(22.5, 0.0)] * 2, "c1": [(66.5, 0.0)] * 3}
     db = _db(times)
@@ -415,16 +389,20 @@ def test_naive_dominance_would_prune_the_optimum(seed, monkeypatch):
     compensation) — prunes the state the optimal plan runs through, so
     the naive search lands strictly above the exhaustive optimum.  The
     safe relation keeps that state and stays bit-identical to the
-    unpruned reference."""
+    unpruned oracle."""
     import repro.core.fill_strategies as fs
 
+    monkeypatch.setitem(
+        FILL_STRATEGIES, "lookahead_reference", LookaheadReferenceFill
+    )
+    monkeypatch.setattr(LookaheadReferenceFill, "beam_width", 4096)
+    monkeypatch.setattr(LookaheadFill, "beam_width", 4096)
     db, model, bubbles = _trap_instance(seed)
     ref = BubbleFiller(
-        db, model, batch=64, strategy="lookahead_reference",
-        lookahead_beam=4096,
+        db, model, batch=64, strategy="lookahead_reference"
     ).fill(bubbles, leftover_devices=2)
     safe = BubbleFiller(
-        db, model, batch=64, strategy="lookahead", lookahead_beam=4096
+        db, model, batch=64, strategy="lookahead"
     ).fill(bubbles, leftover_devices=2)
     assert safe.leftover_ms == ref.leftover_ms
 
@@ -434,7 +412,7 @@ def test_naive_dominance_would_prune_the_optimum(seed, monkeypatch):
     )
     monkeypatch.setattr(fs._SearchCtx, "earn_bound", lambda self, key: 0.0)
     naive = BubbleFiller(
-        db, model, batch=64, strategy="lookahead", lookahead_beam=4096
+        db, model, batch=64, strategy="lookahead"
     ).fill(bubbles, leftover_devices=2)
     assert naive.leftover_ms > ref.leftover_ms + 1e-9
 

@@ -1,10 +1,12 @@
 """Differential fuzz suite: pruned+cached ``lookahead`` vs its oracle.
 
 The production ``lookahead`` strategy adds three cost levers on top of
-the retained ``lookahead_reference`` (exhaustive expansion, no pruning,
-no caching): dominance pruning with an earn-bound filled compensation,
-shape-keyed reuse of expansion tables / beam prefixes / final plans,
-and an adaptive beam schedule.  None of them may change results:
+its oracle :class:`repro.oracles.LookaheadReferenceFill` (exhaustive
+expansion, no pruning, no caching; registered here as fill strategy
+``lookahead_reference`` for the module's duration): dominance pruning
+with an earn-bound filled compensation, shape-keyed reuse of expansion
+tables / beam prefixes / final plans, and an adaptive beam schedule.
+None of them may change results:
 
 * on *any* instance where neither search hits a beam cut and the FFC
   enumeration stays within the production strategy's tighter candidate
@@ -20,7 +22,7 @@ and an adaptive beam schedule.  None of them may change results:
   search's report bit for bit, including telemetry and the filler's
   terminal component states.
 
-The searches are run with a beam cap large enough that the adaptive
+Both searches run with a beam cap large enough that the adaptive
 narrow width exceeds any reachable state set of these tiny instances,
 so no rank cut ever fires and the equivalence claims are exact.
 """
@@ -35,14 +37,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Bubble, BubbleFiller, FillShapeCache
+from repro.core.fill_strategies import FILL_STRATEGIES, LookaheadFill
 from repro.models import ModelSpec
 from repro.models.zoo import timed_component
+from repro.oracles import LookaheadReferenceFill
 from repro.profiling import ProfileDB
 
 #: big enough that the adaptive narrow width (beam / 32) exceeds any
 #: reachable state set of the fuzzed instances — no rank cut fires in
 #: either strategy, making the searches exactly comparable
 BEAM = 1 << 18
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _wide_beam_with_oracle():
+    """Module-scoped (hypothesis rejects function-scoped fixtures):
+    widen both searches to ``BEAM`` and register the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(FILL_STRATEGIES, "lookahead_reference", LookaheadReferenceFill)
+        mp.setattr(LookaheadFill, "beam_width", BEAM)
+        mp.setattr(LookaheadReferenceFill, "beam_width", BEAM)
+        yield
+
 
 #: golden-ratio fraction: distinct integer draws map to layer times and
 #: durations whose subset sums never collide in 53-bit floats, so the
@@ -127,12 +143,10 @@ def tie_free_instances(draw):
     return comps, tag, specs
 
 
-def _fill(db, model, bubbles, strategy, *, partials=True, cache=None,
-          quantum=0.0):
+def _fill(db, model, bubbles, strategy, *, partials=True, cache=None):
     filler = BubbleFiller(
         db, model, batch=64, strategy=strategy,
-        enable_partial_batch=partials, lookahead_beam=BEAM, fill_cache=cache,
-        shape_quantum=quantum,
+        enable_partial_batch=partials, fill_cache=cache,
     )
     report = filler.fill(bubbles, leftover_devices=2)
     return report, filler
@@ -245,8 +259,8 @@ def test_beam_prefix_resume_matches_cold_search():
 
 
 def test_shape_cache_contexts_never_alias():
-    """Different batches / partial-batch settings / beam caps must not
-    share cached plans even on identical bubble shapes."""
+    """Different batches / partial-batch settings must not share cached
+    plans even on identical bubble shapes."""
     comps = {"c0": [(_entropy(k, 29.0), 0.0) for k in (337, 7919)]}
     db, model, bubbles = _build(comps, "alias", [(21.0, 2), (13.0, 1)],
                                 scale=True)
@@ -254,7 +268,7 @@ def test_shape_cache_contexts_never_alias():
     a, _ = _fill(db, model, bubbles, "lookahead", cache=cache)
     filler = BubbleFiller(
         db, model, batch=32, strategy="lookahead",
-        enable_partial_batch=True, lookahead_beam=BEAM, fill_cache=cache,
+        enable_partial_batch=True, fill_cache=cache,
     )
     b = filler.fill(bubbles, leftover_devices=2)
     assert cache.final_hits == 0 and cache.final_misses == 2
@@ -262,55 +276,24 @@ def test_shape_cache_contexts_never_alias():
     assert cache.final_hits == 0 and cache.final_misses == 3
 
 
-def test_shape_quantum_zero_is_bit_identical_and_exact():
-    """``shape_quantum=0.0`` (the default) must change nothing: reports
-    match a quantum-less fill bit for bit, near-identical durations
-    still key separately (no false hits), and entries written under a
-    coarse quantum are invisible at quantum 0 (the quantum is part of
-    the context identity)."""
+def test_shape_cache_keys_on_exact_durations():
+    """Shape keys hold exact durations: caching changes no report, and a
+    microsecond-scale perturbation of a bubble is a distinct key (no
+    false hit)."""
     comps = {"c0": [(_entropy(k, 29.0), 0.0) for k in (337, 7919)]}
     db, model, bubbles = _build(comps, "q0", [(17.0, 2), (23.0, 1)],
                                 scale=True)
     plain, _ = _fill(db, model, bubbles, "lookahead")
     cache = FillShapeCache()
-    exact, _ = _fill(db, model, bubbles, "lookahead", cache=cache,
-                     quantum=0.0)
+    exact, _ = _fill(db, model, bubbles, "lookahead", cache=cache)
     assert exact == plain
-    # a microsecond-scale perturbation is a distinct exact key
     nudged = [
         Bubble(start=b.start, end=b.end + 1e-6,
                devices=b.devices, weight=b.weight)
         for b in bubbles
     ]
-    _fill(db, model, nudged, "lookahead", cache=cache, quantum=0.0)
+    _fill(db, model, nudged, "lookahead", cache=cache)
     assert cache.final_hits == 0 and cache.final_misses == 2
-    # a coarse-quantum fill of the same bubbles must not read (or be
-    # read by) the exact entries
-    _fill(db, model, bubbles, "lookahead", cache=cache, quantum=1.0)
-    assert cache.final_hits == 0 and cache.final_misses == 3
-
-
-def test_shape_quantum_coarse_warm_hits_across_nudged_durations():
-    """At a coarse quantum, timelines whose bubble durations differ by
-    far less than the grid share one cache entry: the second fill is a
-    warm hit, and the replay re-binds to the *actual* bubbles, so its
-    report matches a cold search of those bubbles bit for bit."""
-    comps = {"c0": [(_entropy(k, 29.0), 0.0) for k in (11213, 7919)]}
-    db, model, bubbles = _build(comps, "qc", [(17.0, 2), (23.0, 1)],
-                                scale=True)
-    cache = FillShapeCache()
-    _fill(db, model, bubbles, "lookahead", cache=cache, quantum=1.0)
-    assert cache.final_misses == 1
-    nudged = [
-        Bubble(start=b.start, end=b.end + 1e-4,
-               devices=b.devices, weight=b.weight)
-        for b in bubbles
-    ]
-    warm, _ = _fill(db, model, nudged, "lookahead", cache=cache,
-                    quantum=1.0)
-    assert cache.final_hits == 1 and cache.final_misses == 1
-    cold, _ = _fill(db, model, nudged, "lookahead")
-    assert warm == cold
 
 
 def test_shape_cache_clear_resets_stores():

@@ -1,5 +1,10 @@
 """ModelSpec (component DAG) tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -80,6 +85,32 @@ def test_topological_order_respects_deps():
     order = m.topological_order()
     assert order.index("a") < order.index("b") < order.index("c")
     assert [c.name for c in m.non_trainable] == ["a", "b", "c"]
+
+
+TOPO_ORDER_SCRIPT = """
+from repro.models.zoo import timed_component
+from repro.models import ModelSpec
+frozen = [timed_component(f"enc{i}", [1.0]) for i in range(8)]
+bb = timed_component("bb", [1.0], trainable=True,
+                     depends_on=[c.name for c in reversed(frozen)])
+print([c.name for c in ModelSpec("m", [bb] + frozen, ("bb",)).non_trainable])
+"""
+
+
+def test_topological_order_ignores_hash_seed():
+    """Regression: predecessors were passed to the sorter as sets, so
+    the frozen-component order (which the lookahead fill search keys
+    on) changed with PYTHONHASHSEED and so did lookahead's plans."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    orders = set()
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", TOPO_ORDER_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        orders.add(out.stdout)
+    assert len(orders) == 1, orders
 
 
 def test_ready_after():

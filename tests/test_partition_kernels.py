@@ -1,15 +1,18 @@
 """Differential tests of the array DP kernels against their oracles.
 
 The vectorized table builders of :mod:`repro.core.partition_kernels`
-promise *bit-identical* outputs to the pure-Python ``*_reference``
-folds they replaced — same max/+ compositions, same associativity, same
-tie-breaking, exact float equality.  This suite fuzzes (L, S, D, layer
+promise *bit-identical* outputs to the pure-Python recursions of
+:mod:`repro.oracles` they replaced — same max/+ compositions, same
+associativity, same tie-breaking, exact float equality.  This suite fuzzes (L, S, D, layer
 costs) with hypothesis and compares the full frontier tables, the
 feedback times and the backtracked plans across all three pricing
 modes (default, self-conditioning, zero-bubble) and both CDM flavours
 (uniform ``fixed_r`` and heterogeneous), plus the capped-fold replay
 engine in isolation.  Comparisons are exact: every float is checked by
-``.hex()``, entry order included.
+``.hex()``, entry order included.  The oracle tables are built through
+the production memo wrappers with the oracle substituted at the
+builder's call site (``reference_dp_tables``), so wrapper freezing and
+backtracking are exercised on both sides.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from repro.core.partition_cdm import (
 )
 from repro.core import partition_kernels as pk
 from repro.profiling import ProfileDB
+
+from .conftest import reference_dp_tables
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
 
@@ -112,12 +117,9 @@ def test_chain_table_differential(times, S, mode):
     sc, pricing = mode
     ctx = _ctx(times, sc=sc, pricing=pricing)
     L = len(times)
-    h_ref, tf_ref = _chain_frontiers(
-        ctx, 2, L, S, PlannerCaches(), dp_kernel="reference"
-    )
-    h_arr, tf_arr = _chain_frontiers(
-        ctx, 2, L, S, PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_tables():
+        h_ref, tf_ref = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
+    h_arr, tf_arr = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
     assert float(tf_ref).hex() == float(tf_arr).hex()
     _assert_chain_identical(h_ref, h_arr)
 
@@ -128,12 +130,9 @@ def test_chain_backtracked_plan_differential(times, S):
     if S > len(times):
         return
     ctx = _ctx(times)
-    ref = partition_backbone(
-        ctx, S, S, caches=PlannerCaches(), dp_kernel="reference"
-    )
-    arr = partition_backbone(
-        ctx, S, S, caches=PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_tables():
+        ref = partition_backbone(ctx, S, S, caches=PlannerCaches())
+    arr = partition_backbone(ctx, S, S, caches=PlannerCaches())
     assert ref == arr
     assert float(ref.t_max_ms).hex() == float(arr.t_max_ms).hex()
     assert float(ref.w_ms).hex() == float(arr.w_ms).hex()
@@ -158,12 +157,9 @@ def test_het_table_differential(times, S, extra, mode):
     D = S + extra  # covers divisible and non-divisible device counts
     ctx = _ctx(times, sc=sc, pricing=pricing)
     L = len(times)
-    h_ref, tf_ref = _het_frontiers(
-        ctx, L, S, D, PlannerCaches(), dp_kernel="reference"
-    )
-    h_arr, tf_arr = _het_frontiers(
-        ctx, L, S, D, PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_tables():
+        h_ref, tf_ref = _het_frontiers(ctx, L, S, D, PlannerCaches())
+    h_arr, tf_arr = _het_frontiers(ctx, L, S, D, PlannerCaches())
     assert set(tf_ref) == set(tf_arr)
     for r in tf_ref:
         assert float(tf_ref[r]).hex() == float(tf_arr[r]).hex()
@@ -177,13 +173,12 @@ def test_het_backtracked_plan_differential(times, S):
         return
     ctx = _ctx(times)
     D = S + 1
-    ref = partition_backbone(
-        ctx, S, D, heterogeneous=True, caches=PlannerCaches(),
-        dp_kernel="reference",
-    )
+    with reference_dp_tables():
+        ref = partition_backbone(
+            ctx, S, D, heterogeneous=True, caches=PlannerCaches()
+        )
     arr = partition_backbone(
-        ctx, S, D, heterogeneous=True, caches=PlannerCaches(),
-        dp_kernel="array",
+        ctx, S, D, heterogeneous=True, caches=PlannerCaches()
     )
     assert ref == arr
     assert float(ref.t_max_ms).hex() == float(arr.t_max_ms).hex()
@@ -220,13 +215,14 @@ def test_cdm_uniform_table_differential(dts, uts, S, cut_step, mf):
         return
     ctx = _cdm_ctx(dts, uts)
     ld, lu = len(dts), len(uts)
-    f_ref = _cdm_frontiers(
-        ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="reference",
-    )
+    with reference_dp_tables():
+        f_ref = _cdm_frontiers(
+            ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
+            ld=ld, lu=lu,
+        )
     f_arr = _cdm_frontiers(
         ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="array",
+        ld=ld, lu=lu,
     )
     _assert_dicts_identical(f_ref, f_arr)
 
@@ -246,13 +242,14 @@ def test_cdm_het_table_differential(dts, uts, S, extra, cut_step, mf):
     ctx = _cdm_ctx(dts, uts)
     ld, lu = len(dts), len(uts)
     D = S + extra
-    f_ref = _cdm_het_frontiers(
-        ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="reference",
-    )
+    with reference_dp_tables():
+        f_ref = _cdm_het_frontiers(
+            ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
+            ld=ld, lu=lu,
+        )
     f_arr = _cdm_het_frontiers(
         ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="array",
+        ld=ld, lu=lu,
     )
     _assert_dicts_identical(f_ref, f_arr)
 
@@ -269,14 +266,11 @@ def test_cdm_backtracked_plan_differential(dts, uts, S, het):
         return
     ctx = _cdm_ctx(dts, uts)
     D = S + 1 if het else S * 2
-    ref = partition_cdm(
-        ctx, S, D, heterogeneous=het, caches=PlannerCaches(),
-        dp_kernel="reference",
-    )
-    arr = partition_cdm(
-        ctx, S, D, heterogeneous=het, caches=PlannerCaches(),
-        dp_kernel="array",
-    )
+    with reference_dp_tables():
+        ref = partition_cdm(
+            ctx, S, D, heterogeneous=het, caches=PlannerCaches()
+        )
+    arr = partition_cdm(ctx, S, D, heterogeneous=het, caches=PlannerCaches())
     assert ref == arr
     assert float(ref.t_max_ms).hex() == float(arr.t_max_ms).hex()
 
@@ -431,7 +425,7 @@ def test_cdm_plan_reused_across_adjacent_batches():
         results.append(
             _cdm_frontiers(
                 cctx, 2, 2, caches, cut_step=1, max_frontier=4,
-                ld=5, lu=5, dp_kernel="array",
+                ld=5, lu=5,
             )
         )
     # One plan build (miss), one warm reuse: the second batch's table
@@ -449,8 +443,9 @@ def test_cdm_plan_reused_across_adjacent_batches():
         num_micro_batches=2, p2p=FAST, allreduce=FAST,
     )
     cctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
-    f_ref = _cdm_frontiers(
-        cctx, 2, 2, PlannerCaches(), cut_step=1, max_frontier=4,
-        ld=5, lu=5, dp_kernel="reference",
-    )
+    with reference_dp_tables():
+        f_ref = _cdm_frontiers(
+            cctx, 2, 2, PlannerCaches(), cut_step=1, max_frontier=4,
+            ld=5, lu=5,
+        )
     _assert_dicts_identical(f_ref, results[1])

@@ -28,8 +28,8 @@ from repro.schedule import (
     build_1f1b,
     build_gpipe,
     simulate,
-    simulate_reference,
 )
+from repro.oracles import simulate_reference
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
 
@@ -465,7 +465,7 @@ def test_sweep_line_extraction_matches_reference(times, M, include_sync):
     """The O(E log E) sweep-line and the quadratic breakpoint scan
     commit the same bubbles (modulo ulp-wide slivers the midpoint scan
     cannot resolve) on simulated 1F1B timelines."""
-    from repro.core import extract_bubbles_reference
+    from repro.oracles import extract_bubbles_reference
 
     stages = [
         StageExec(index=i, fwd_ms=f, bwd_ms=b, sync_ms=5.0)

@@ -29,7 +29,7 @@ from repro.cluster.collectives import CommCosts
 from repro.core.caches import PlannerCaches
 from repro.core.partition import PartitionContext, partition_backbone
 
-from .conftest import make_synthetic_db
+from .conftest import dp_engine, make_synthetic_db
 
 FAST_P2P = CommCosts(bandwidth=6e8, latency=0.005)
 FAST_AR = CommCosts(bandwidth=1e9, latency=0.1)
@@ -69,14 +69,15 @@ def test_all_nominal_scales_reduce_to_homogeneous(times, S, kern, het, pricing):
     D = 4
     if D % S != 0:
         het = True  # the homogeneous replication path needs S | D
-    base = partition_backbone(
-        _ctx(db, None, pricing=pricing), S, D,
-        heterogeneous=het, caches=PlannerCaches(), dp_kernel=kern,
-    )
-    unit = partition_backbone(
-        _ctx(db, (1.0,) * D, pricing=pricing), S, D,
-        heterogeneous=het, caches=PlannerCaches(), dp_kernel=kern,
-    )
+    with dp_engine(kern):
+        base = partition_backbone(
+            _ctx(db, None, pricing=pricing), S, D,
+            heterogeneous=het, caches=PlannerCaches(),
+        )
+        unit = partition_backbone(
+            _ctx(db, (1.0,) * D, pricing=pricing), S, D,
+            heterogeneous=het, caches=PlannerCaches(),
+        )
     assert unit == base
     assert unit.t_max_ms.hex() == base.t_max_ms.hex()
     assert unit.w_ms.hex() == base.w_ms.hex()
@@ -97,13 +98,13 @@ def test_engines_agree_bit_identically_on_scaled_inputs(
     db = make_synthetic_db(backbone_times=tuple(times))
     if 4 % S != 0:
         het = True  # the homogeneous replication path needs S | D
-    plans = {
-        kern: partition_backbone(
-            _ctx(db, scales, sc=sc), S, 4,
-            heterogeneous=het, caches=PlannerCaches(), dp_kernel=kern,
-        )
-        for kern in ("array", "reference")
-    }
+    plans = {}
+    for kern in ("array", "reference"):
+        with dp_engine(kern):
+            plans[kern] = partition_backbone(
+                _ctx(db, scales, sc=sc), S, 4,
+                heterogeneous=het, caches=PlannerCaches(),
+            )
     a, r = plans["array"], plans["reference"]
     assert a == r
     assert a.t_max_ms.hex() == r.t_max_ms.hex()
@@ -124,10 +125,11 @@ def test_slower_device_never_takes_strictly_more_layers(
     fast stage's in the returned optimum."""
     db = make_synthetic_db(backbone_times=((t, 2.0 * t),) * 8)
     scales = (slow, 1.0) if slow_first else (1.0, slow)
-    plan = partition_backbone(
-        _ctx(db, scales), 2, 2,
-        heterogeneous=False, caches=PlannerCaches(), dp_kernel=kern,
-    )
+    with dp_engine(kern):
+        plan = partition_backbone(
+            _ctx(db, scales), 2, 2,
+            heterogeneous=False, caches=PlannerCaches(),
+        )
     layers = [stage.hi - stage.lo for stage in plan.down]
     slow_layers, fast_layers = (
         (layers[0], layers[1]) if slow_first else (layers[1], layers[0])

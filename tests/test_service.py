@@ -112,6 +112,14 @@ class _Server:
                 buf += chunk
         return json.loads(buf)
 
+    def ask_lines(self, msgs: list[dict]) -> list[dict]:
+        """Send every message on one connection; read one reply each."""
+        with socket.create_connection(("127.0.0.1", self.port), 30) as sock:
+            sock.settimeout(60)
+            sock.sendall(b"".join(json.dumps(m).encode() + b"\n" for m in msgs))
+            reader = sock.makefile("rb")
+            return [json.loads(reader.readline()) for _ in msgs]
+
 
 def test_server_protocol(tmp_path):
     with _Server() as srv:
@@ -140,3 +148,55 @@ def test_server_protocol(tmp_path):
         assert err["op"] == "error" and "unknown request fields" in err["error"]
         err = srv.ask({"op": "sweep", "batches": []})
         assert err["op"] == "error" and "batches" in err["error"]
+
+
+#: fields PlanRequest.from_dict rejects before any planning starts
+MALFORMED_FIELDS = [
+    {"gpus": 0},
+    {"gpus": "x"},
+    {"gpus": True},
+    {"gpus": 2.5},
+    {"batch": float("nan")},
+    {"batch": float("inf")},
+    {"batch": -64},
+    {"batch": "64"},
+    {"heterogeneous": "yes"},
+    {"self_conditioning": 1},
+    {"self_conditioning": 1.0},
+    {"fill_strategy": "psychic"},
+    {"fill_strategy": ["greedy"]},
+    {"model": ["sd"]},
+]
+
+
+#: well-formed, but rejected by the cluster builder (not a p4de tiling)
+BAD_PLAN_FIELDS = MALFORMED_FIELDS + [{"gpus": 12}]
+
+
+@pytest.mark.parametrize("fields", MALFORMED_FIELDS, ids=repr)
+def test_request_validation_rejects_bad_fields(fields):
+    with pytest.raises(ServiceError):
+        PlanRequest.from_dict({"model": "sd", "gpus": 2, "batch": 32, **fields})
+
+
+def test_server_answers_every_bad_request_and_stays_up():
+    """Each bad plan on one connection gets exactly one error reply, in
+    order, and a valid plan afterwards is answered correctly.
+
+    Regression: ``gpus: 0`` and ``gpus: 12`` used to raise SystemExit
+    from the CLI's cluster builder inside the worker, which stopped the
+    server loop; ``batch: NaN`` dropped the connection with no reply."""
+    base = {"op": "plan", "model": "sd", "gpus": 2, "batch": 32}
+    with _Server() as srv:
+        replies = srv.ask_lines(
+            [{**base, **fields} for fields in BAD_PLAN_FIELDS] + [base]
+        )
+        assert len(replies) == len(BAD_PLAN_FIELDS) + 1
+        for fields, reply in zip(BAD_PLAN_FIELDS, replies):
+            failed = reply["op"] == "error" or not reply["ok"]
+            assert failed and reply["error"], (fields, reply)
+        assert replies[-1]["ok"] and replies[-1]["throughput"] > 0
+        with PlanService() as fresh:
+            expect = fresh.plan(SMALL)
+        assert replies[-1]["throughput"] == expect.throughput
+        assert replies[-1]["config_label"] == expect.config_label

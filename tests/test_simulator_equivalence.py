@@ -25,9 +25,9 @@ from repro.schedule import (
     build_gpipe,
     device_resource,
     simulate,
-    simulate_reference,
 )
 from repro.errors import ScheduleError
+from repro.oracles import simulate_reference
 
 
 def _keys(timeline):
