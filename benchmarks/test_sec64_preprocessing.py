@@ -20,7 +20,8 @@ from repro.core import (
 )
 from repro.harness import ExperimentReport
 from repro.profiling import Profiler
-from repro.schedule import build_1f1b, simulate
+from repro.schedule import simulate
+from repro.schedule.onef1b import build_1f1b
 
 
 def _preprocess(model, cluster):

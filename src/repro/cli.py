@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 from .baselines import (
     DataParallelBaseline,
@@ -40,102 +39,18 @@ from .baselines import (
     SPPBaseline,
     Zero3Baseline,
 )
-from .cluster import p4de_cluster, single_node
+from .catalog import MODELS, build_cluster, build_model, group_sizes
+from .cluster import p4de_cluster
 from .core import (
     DiffusionPipePlanner,
     PlannerOptions,
     extract_bubbles,
     fill_strategy_names,
 )
-from .errors import ConfigurationError, ReproError
+from .errors import ReproError
 from .harness import format_table, pct
-from .models import zoo
 from .profiling import Profiler
 from .schedule import schedule_family_names
-
-MODELS: dict[str, Callable] = {
-    "sd": zoo.stable_diffusion_v2_1,
-    "controlnet": zoo.controlnet_v1_0,
-    "cdm-lsun": zoo.cdm_lsun,
-    "cdm-imagenet": zoo.cdm_imagenet,
-    "dit": zoo.dit_xl,
-}
-
-
-# The builders below raise ConfigurationError, never SystemExit: the
-# planning service calls them too, and main() turns any ReproError into
-# a one-line exit for the CLI.
-
-
-def _build_model(name: str, self_conditioning: bool | None):
-    if name not in MODELS:
-        raise ConfigurationError(
-            f"unknown model {name!r}; options: {sorted(MODELS)}"
-        )
-    factory = MODELS[name]
-    if name in ("cdm-lsun", "cdm-imagenet"):
-        return factory()
-    if self_conditioning is None:
-        return factory()
-    return factory(self_conditioning=self_conditioning)
-
-
-def _parse_speed_factors(items) -> dict[int, float] | None:
-    """``RANK=FACTOR`` pairs into the ClusterSpec override mapping."""
-    if not items:
-        return None
-    out: dict[int, float] = {}
-    for item in items:
-        rank, sep, factor = item.partition("=")
-        try:
-            if not sep:
-                raise ValueError
-            out[int(rank)] = float(factor)
-        except ValueError:
-            raise ConfigurationError(
-                f"--speed-factors entries look like RANK=FACTOR "
-                f"(e.g. 0=0.5), got {item!r}"
-            ) from None
-    return out
-
-
-def _build_cluster(gpus: int, speed_factors=None):
-    """Multiples of 8 GPUs map to p4de machines; smaller or odd counts
-    model one NVSwitch node — e.g. ``--gpus 6`` plans the non-divisible
-    clusters the heterogeneous DPs exist for."""
-    if gpus < 2:
-        raise ConfigurationError("--gpus must be at least 2")
-    if gpus > 8 and gpus % 8:
-        raise ConfigurationError(
-            "--gpus beyond one machine must be a multiple of 8 (p4de)"
-        )
-    factors = _parse_speed_factors(speed_factors)
-    try:
-        if gpus % 8 == 0:
-            return p4de_cluster(gpus // 8, speed_factors=factors)
-        return single_node(gpus, speed_factors=factors)
-    except ReproError as exc:
-        # Out-of-range ranks, non-positive factors.
-        raise ConfigurationError(f"invalid --speed-factors: {exc}") from exc
-
-
-def _group_sizes(cluster) -> tuple[int, ...]:
-    """Pipeline-group menu: sizes within the paper's practical range
-    (groups fit one machine) that tile both the world and the machine.
-
-    Groups are contiguous rank blocks, so a size that does not divide
-    the per-machine device count would make some groups straddle the
-    inter-node link while the planner prices every group off the first
-    (intra-node) one — e.g. D=6 on 24 p4de GPUs.  Requiring ``d |
-    devices_per_machine`` keeps every group on one machine.
-    """
-    world = cluster.world_size
-    per = cluster.devices_per_machine
-    return tuple(
-        d
-        for d in range(2, min(world, per) + 1)
-        if world % d == 0 and per % d == 0
-    )
 
 
 def cmd_models(args: argparse.Namespace) -> int:
@@ -160,8 +75,8 @@ def cmd_models(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    model = _build_model(args.model, args.self_conditioning)
-    cluster = _build_cluster(args.gpus, args.speed_factors)
+    model = build_model(args.model, args.self_conditioning)
+    cluster = build_cluster(args.gpus, args.speed_factors)
     profile = Profiler(cluster).profile(model)
     try:
         # Construction validates option combinations too (e.g. an
@@ -172,7 +87,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             cluster,
             profile,
             options=PlannerOptions(
-                group_sizes=_group_sizes(cluster),
+                group_sizes=group_sizes(cluster),
                 keep_timeline=True,
                 heterogeneous_replication=args.heterogeneous,
                 fill_strategy=args.fill_strategy,
@@ -230,11 +145,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    model = _build_model(args.model, args.self_conditioning)
-    cluster = _build_cluster(args.gpus, args.speed_factors)
+    model = build_model(args.model, args.self_conditioning)
+    cluster = build_cluster(args.gpus, args.speed_factors)
     profile = Profiler(cluster).profile(model)
     opts = PlannerOptions(
-        group_sizes=_group_sizes(cluster),
+        group_sizes=group_sizes(cluster),
         heterogeneous_replication=args.heterogeneous,
         fill_strategy=args.fill_strategy,
         schedule=args.schedule,
@@ -276,7 +191,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     cluster = p4de_cluster(1)
     rows = []
     for key in ("sd", "controlnet"):
-        model = _build_model(key, None)
+        model = build_model(key, None)
         profile = Profiler(cluster).profile(model)
         row = [model.name]
         for b in (8, 16, 32, 64):
@@ -296,7 +211,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     rows = []
     for key in ("sd", "controlnet"):
-        model = _build_model(key, None)
+        model = build_model(key, None)
         row = [model.name]
         for machines in (1, 2, 4, 8):
             cluster = p4de_cluster(machines)

@@ -49,7 +49,6 @@ from .partition import (
     pareto_insert,
 )
 from .partition_cdm import (
-    CDM_COMM_SCALE,
     CDMPartitionContext,
     group_backbones,
     partition_cdm,
@@ -106,7 +105,6 @@ __all__ = [
     "StageCosts",
     "partition_backbone",
     "pareto_insert",
-    "CDM_COMM_SCALE",
     "CDMPartitionContext",
     "group_backbones",
     "partition_cdm",

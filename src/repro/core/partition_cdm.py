@@ -35,12 +35,10 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
+from ..schedule import BIDIRECTIONAL_COMM_SCALE
 from .caches import PlannerCaches, default_caches
 from .partition import PartitionContext, StageCosts, _LazyStageCosts
 from .plan import PartitionPlan, StageAssignment
-
-#: the paper enlarges communication by 2x for bidirectional pipelines
-CDM_COMM_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class CDMPartitionContext:
 
     down: PartitionContext
     up: PartitionContext
-    comm_scale: float = CDM_COMM_SCALE
+    comm_scale: float = BIDIRECTIONAL_COMM_SCALE
 
     def __post_init__(self) -> None:
         if self.down.num_micro_batches <= 0 or self.up.num_micro_batches <= 0:

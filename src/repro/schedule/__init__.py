@@ -2,17 +2,21 @@
 
 Schedule construction goes through the :mod:`~repro.schedule.families`
 registry — ``get_family(name).build(...)`` — so the planner, baselines
-and harness share one code path per family.  The direct builder names
-(``build_1f1b``, ``build_gpipe``, ``build_bidirectional``,
-``build_interleaved``, ``build_zerobubble``) and
-``BIDIRECTIONAL_COMM_SCALE`` remain importable for existing callers and
-the builders' own unit tests, but are **deprecated** as a public
-surface and no longer listed in ``__all__``; an AST gate
-(``tests/test_no_direct_builder_imports.py``) keeps production code off
-them outside this package.
+and harness share one code path per family.  Every family's builder is
+the FIFO task-graph core of :mod:`~repro.schedule.onef1b`: 1F1B itself,
+GPipe (no in-flight window, forwards-first dispatch), bidirectional
+(two 1F1B graphs on mirrored device orders), interleaved (1F1B over a
+round-robin chunk chain) and zero-bubble (1F1B with split backwards).
+The builder modules are private to this package; an AST gate
+(``repro analyze``'s ``registry-bypass`` rule) keeps code outside it
+off them, and tests import them by module path.
+
+:data:`BIDIRECTIONAL_COMM_SCALE` is exported because the CDM partition
+DP must price communication with the same factor the bidirectional
+schedule simulates.
 """
 
-from .bidirectional import BIDIRECTIONAL_COMM_SCALE, build_bidirectional
+from .bidirectional import BIDIRECTIONAL_COMM_SCALE
 from .families import (
     SCHEDULE_FAMILIES,
     ScheduleFamily,
@@ -20,9 +24,6 @@ from .families import (
     register_schedule_family,
     schedule_family_names,
 )
-from .gpipe import build_gpipe
-from .interleaved import build_interleaved
-from .onef1b import build_1f1b
 from .simulator import simulate
 from .stages import StageExec, validate_stages
 from .tasks import (
@@ -35,7 +36,6 @@ from .tasks import (
     validate_task_graph,
 )
 from .timeline import IdleSpan, Interval, Timeline
-from .zerobubble import build_zerobubble
 
 __all__ = [
     # the registry is the public construction surface
@@ -44,6 +44,7 @@ __all__ = [
     "get_family",
     "register_schedule_family",
     "schedule_family_names",
+    "BIDIRECTIONAL_COMM_SCALE",
     # simulation + data types
     "simulate",
     "StageExec",
@@ -58,7 +59,4 @@ __all__ = [
     "IdleSpan",
     "Interval",
     "Timeline",
-    # deprecated direct names (use get_family(...).build instead):
-    # BIDIRECTIONAL_COMM_SCALE, build_bidirectional, build_gpipe,
-    # build_1f1b, build_interleaved, build_zerobubble
 ]

@@ -13,7 +13,8 @@ touching planner code.  Registered families:
     the same code path as the planner families.
 ``bidirectional``
     The §4.2 two-backbone Chimera-style composition for cascaded
-    models; the only family with ``cascaded=True``.
+    models (:func:`~repro.schedule.bidirectional.build_bidirectional`);
+    the only family with ``cascaded=True``.
 ``interleaved``
     Megatron-style virtual stages: each device hosts ``v``
     non-contiguous chunks, 1F1B over the chunk chain
@@ -25,9 +26,10 @@ touching planner code.  Registered families:
     (:func:`~repro.schedule.zerobubble.build_zerobubble`);
     ``splits_backward=True`` selects B/W pricing in the partition DPs.
 
-Every family builds from the same inputs (stage chains + micro-batch
-counts) and returns a plain task list for the discrete-event simulator;
-``simulate`` needs no per-family logic.
+Every family builds from the same inputs (stage chains + one
+micro-batch count) and returns a plain task list for the discrete-event
+simulator; ``simulate`` needs no per-family logic.  Every builder is the
+FIFO core of :mod:`~repro.schedule.onef1b` with different inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence
 
 from ..errors import ConfigurationError
-from .bidirectional import BIDIRECTIONAL_COMM_SCALE, build_bidirectional
+from .bidirectional import build_bidirectional
 from .gpipe import build_gpipe
 from .interleaved import build_interleaved
 from .onef1b import build_1f1b
@@ -62,11 +64,9 @@ class ScheduleFamily(Protocol):
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         ...  # pragma: no cover - protocol
 
@@ -121,11 +121,9 @@ class OneF1BFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         return build_1f1b(
@@ -133,7 +131,6 @@ class OneF1BFamily:
             num_micro_batches,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )
 
 
@@ -150,11 +147,9 @@ class GPipeFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         return build_gpipe(
@@ -162,7 +157,6 @@ class GPipeFamily:
             num_micro_batches,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )
 
 
@@ -179,29 +173,20 @@ class BidirectionalFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         if up is None:
             raise ConfigurationError(
                 "the 'bidirectional' family needs an up-pipeline stage "
                 "chain (cascaded models only)"
             )
-        return build_bidirectional(
-            stages,
-            up,
-            num_micro_batches,
-            num_micro_batches
-            if num_micro_batches_up is None
-            else num_micro_batches_up,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-            comm_scale=BIDIRECTIONAL_COMM_SCALE,
-            sync_on_device=sync_on_device,
-        )
+        if self_conditioning:
+            raise ConfigurationError(
+                "the 'bidirectional' family does not model self-conditioning"
+            )
+        return build_bidirectional(stages, up, num_micro_batches)
 
 
 @register_schedule_family("interleaved")
@@ -217,11 +202,9 @@ class InterleavedFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         if num_devices is None:
@@ -235,7 +218,6 @@ class InterleavedFamily:
             num_devices,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )
 
 
@@ -252,11 +234,9 @@ class ZeroBubbleFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         return build_zerobubble(
@@ -264,5 +244,4 @@ class ZeroBubbleFamily:
             num_micro_batches,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )

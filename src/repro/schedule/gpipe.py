@@ -4,7 +4,9 @@ GPipe runs *all* forward micro-batches through the pipeline, then all
 backward micro-batches (Fig. 2's schedule without the 1F1B
 interleaving).  There is no in-flight window: every micro-batch's
 activations stay alive until its backward, which is what gives GPipe its
-higher memory footprint.
+higher memory footprint.  The graph is the FIFO core's
+(:func:`~repro.schedule.onef1b.build_1f1b`) with forwards-first
+dispatch.
 
 The paper evaluates GPipe with equal-layer-count partitioning, 2 stages
 and 4 micro-batches (§6, Baselines); the equal partitioning itself lives
@@ -15,11 +17,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..errors import ConfigurationError
-from .stages import StageExec, validate_stages
-from .tasks import Task, TaskKind, device_resource, link_resource, sync_resource
-
-_PHASE_SC, _PHASE_FWD, _PHASE_BWD = 0, 1, 2
+from .onef1b import build_1f1b
+from .stages import StageExec
+from .tasks import Task
 
 
 def build_gpipe(
@@ -28,125 +28,12 @@ def build_gpipe(
     *,
     self_conditioning: bool = False,
     feedback_ms: float = 0.0,
-    id_prefix: str = "",
-    device_offset: int = 0,
-    sync_on_device: bool = False,
 ) -> list[Task]:
     """Build the GPipe task graph (all forwards, then all backwards)."""
-    stages = validate_stages(stages)
-    S = len(stages)
-    M = num_micro_batches
-    if M <= 0:
-        raise ConfigurationError("number of micro-batches must be positive")
-
-    p = id_prefix
-    tasks: list[Task] = []
-
-    def dev(s: int) -> int:
-        return device_offset + s
-
-    waves = [(_PHASE_SC, "sc")] if self_conditioning else []
-    waves += [(_PHASE_FWD, "fwd")]
-
-    for m in range(M):
-        for phase, tag in waves:
-            for s in range(S):
-                deps: list[str] = []
-                if s > 0:
-                    deps.append(f"{p}c{tag}[{s - 1},{m}]")
-                if phase == _PHASE_FWD and self_conditioning and s == 0:
-                    deps.append(f"{p}cf[{m}]")
-                duration = (
-                    stages[s].sc_fwd_ms if phase == _PHASE_SC else stages[s].fwd_ms
-                )
-                assert duration is not None
-                tasks.append(
-                    Task(
-                        task_id=f"{p}{tag}[{s},{m}]",
-                        resource=device_resource(dev(s)),
-                        duration=duration,
-                        deps=tuple(deps),
-                        kind=TaskKind.SC_FORWARD
-                        if phase == _PHASE_SC
-                        else TaskKind.FORWARD,
-                        # GPipe priority: all forwards precede backwards.
-                        priority=(0, m, phase),
-                        device=dev(s),
-                        meta={"stage": s, "micro_batch": m},
-                    )
-                )
-                if s < S - 1:
-                    tasks.append(
-                        Task(
-                            task_id=f"{p}c{tag}[{s},{m}]",
-                            resource=link_resource(dev(s), dev(s + 1)),
-                            duration=stages[s].send_fwd_ms,
-                            deps=(f"{p}{tag}[{s},{m}]",),
-                            kind=TaskKind.COMM,
-                            priority=(0, m, phase),
-                            device=None,
-                            meta={"stage": s, "micro_batch": m, "dir": "fwd"},
-                        )
-                    )
-            if phase == _PHASE_SC:
-                tasks.append(
-                    Task(
-                        task_id=f"{p}cf[{m}]",
-                        resource=link_resource(dev(S - 1), dev(0)),
-                        duration=feedback_ms,
-                        deps=(f"{p}sc[{S - 1},{m}]",),
-                        kind=TaskKind.COMM,
-                        priority=(0, m, phase),
-                        device=None,
-                        meta={"micro_batch": m, "dir": "feedback"},
-                    )
-                )
-
-    for m in range(M):
-        for s in range(S - 1, -1, -1):
-            deps = [f"{p}fwd[{s},{m}]"]
-            if s < S - 1:
-                deps.append(f"{p}g[{s + 1},{m}]")
-            tasks.append(
-                Task(
-                    task_id=f"{p}bwd[{s},{m}]",
-                    resource=device_resource(dev(s)),
-                    duration=stages[s].bwd_ms,
-                    deps=tuple(deps),
-                    kind=TaskKind.BACKWARD,
-                    priority=(1, m, _PHASE_BWD),
-                    device=dev(s),
-                    meta={"stage": s, "micro_batch": m},
-                )
-            )
-            if s > 0:
-                tasks.append(
-                    Task(
-                        task_id=f"{p}g[{s},{m}]",
-                        resource=link_resource(dev(s), dev(s - 1)),
-                        duration=stages[s - 1].send_bwd_ms,
-                        deps=(f"{p}bwd[{s},{m}]",),
-                        kind=TaskKind.COMM,
-                        priority=(1, m, _PHASE_BWD),
-                        device=None,
-                        meta={"stage": s, "micro_batch": m, "dir": "bwd"},
-                    )
-                )
-
-    for s in range(S):
-        resource = (
-            device_resource(dev(s)) if sync_on_device else sync_resource(dev(s))
-        )
-        tasks.append(
-            Task(
-                task_id=f"{p}sync[{s}]",
-                resource=resource,
-                duration=stages[s].sync_ms,
-                deps=(f"{p}bwd[{s},{M - 1}]",),
-                kind=TaskKind.SYNC,
-                priority=(2, M, _PHASE_BWD + 1),
-                device=dev(s),
-                meta={"stage": s},
-            )
-        )
-    return tasks
+    return build_1f1b(
+        stages,
+        num_micro_batches,
+        self_conditioning=self_conditioning,
+        feedback_ms=feedback_ms,
+        forwards_first=True,
+    )

@@ -1,4 +1,5 @@
-"""FIFO-1F1B schedule builder (paper Fig. 2 / Fig. 10).
+"""FIFO-1F1B schedule builder (paper Fig. 2 / Fig. 10): the task-graph
+core every schedule family builds on.
 
 The schedule is encoded as a task graph:
 
@@ -16,6 +17,11 @@ The schedule is encoded as a task graph:
 Priorities implement FIFO-1F1B dispatch: among ready tasks a device
 prefers lower micro-batch index and, within one, SC-forward < forward <
 backward.
+
+GPipe (:mod:`~repro.schedule.gpipe`) is the same graph built with
+``forwards_first=True``: every forward dispatched before any backward,
+and therefore no in-flight window.  Bidirectional, interleaved and
+zero-bubble schedules are built from :func:`build_1f1b` too.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .stages import StageExec, validate_stages
 from .tasks import Task, TaskKind, device_resource, link_resource, sync_resource
 
 #: phase codes used in dispatch priorities
-_PHASE_SC, _PHASE_FWD, _PHASE_BWD = 0, 1, 2
+_PHASE_SC, _PHASE_FWD, _PHASE_BWD, _PHASE_SYNC = 0, 1, 2, 3
 
 
 def build_1f1b(
@@ -37,10 +43,9 @@ def build_1f1b(
     self_conditioning: bool = False,
     feedback_ms: float = 0.0,
     id_prefix: str = "",
-    device_offset: int = 0,
     device_order: Sequence[int] | None = None,
     comm_scale: float = 1.0,
-    sync_on_device: bool = False,
+    forwards_first: bool = False,
 ) -> list[Task]:
     """Build the FIFO-1F1B task graph for one backbone pipeline.
 
@@ -56,17 +61,21 @@ def build_1f1b(
         Duration of the last-stage -> first-stage feedback transfer.
     id_prefix:
         Prefix for task ids (used when composing multiple pipelines).
-    device_offset / device_order:
+    device_order:
         Mapping from stage position to logical device: stage ``s`` runs
-        on ``device_order[s]`` if given, else ``device_offset + s``.
+        on ``device_order[s]`` if given, else on device ``s``.
         Bidirectional composition passes a reversed order for the up
-        pipeline.
+        pipeline; interleaving a round-robin one.
     comm_scale:
         Multiplier on all communication durations (bidirectional
         pipelines double communication cost, §4.2).
-    sync_on_device:
-        Run gradient sync on the compute engine instead of the
-        collective engine (models a blocking all-reduce).
+    forwards_first:
+        Build GPipe instead: priorities lead with the phase group
+        (forwards, then backwards, then syncs) rather than the
+        micro-batch, and tasks are emitted in that order, so the
+        simulator's ``(start, priority, seq)`` tie-break agrees with
+        it.  Every micro-batch's activations then stay alive until its
+        backward, so the in-flight window dependencies are left out.
     """
     stages = validate_stages(stages)
     S = len(stages)
@@ -76,7 +85,7 @@ def build_1f1b(
     if comm_scale <= 0:
         raise ConfigurationError("comm_scale must be positive")
     if device_order is None:
-        device_order = [device_offset + s for s in range(S)]
+        device_order = list(range(S))
     else:
         device_order = list(device_order)
         if len(device_order) != S:
@@ -87,6 +96,12 @@ def build_1f1b(
 
     def dev(s: int) -> int:
         return device_order[s]
+
+    def prio(m: int, phase: int, *tail: int) -> tuple:
+        if forwards_first:
+            # group 0: SC-forward and forward, 1: backward, 2: sync
+            return (max(phase - 1, 0), m, phase)
+        return (m, phase, *tail)
 
     def fwd_id(s: int, m: int) -> str:
         return f"{p}fwd[{s},{m}]"
@@ -111,7 +126,7 @@ def build_1f1b(
                     # output of the SC wave (Fig. 10's Cf).
                     if s == 0:
                         deps.append(f"{p}cf[{m}]")
-                if phase == _PHASE_FWD:
+                if phase == _PHASE_FWD and not forwards_first:
                     # 1F1B in-flight window: stage s keeps at most S - s
                     # activations alive.
                     window = S - s
@@ -130,7 +145,7 @@ def build_1f1b(
                         kind=TaskKind.SC_FORWARD
                         if phase == _PHASE_SC
                         else TaskKind.FORWARD,
-                        priority=(m, phase, wave_idx),
+                        priority=prio(m, phase, wave_idx),
                         device=dev(s),
                         meta={"stage": s, "micro_batch": m},
                     )
@@ -144,7 +159,7 @@ def build_1f1b(
                             duration=stages[s].send_fwd_ms * comm_scale,
                             deps=(mk_id(s, m),),
                             kind=TaskKind.COMM,
-                            priority=(m, phase),
+                            priority=prio(m, phase),
                             device=None,
                             meta={"stage": s, "micro_batch": m, "dir": "fwd"},
                         )
@@ -158,7 +173,7 @@ def build_1f1b(
                         duration=feedback_ms * comm_scale,
                         deps=(sc_id(S - 1, m),),
                         kind=TaskKind.COMM,
-                        priority=(m, phase),
+                        priority=prio(m, phase),
                         device=None,
                         meta={"micro_batch": m, "dir": "feedback"},
                     )
@@ -176,7 +191,7 @@ def build_1f1b(
                     duration=stages[s].bwd_ms,
                     deps=tuple(deps),
                     kind=TaskKind.BACKWARD,
-                    priority=(m, _PHASE_BWD),
+                    priority=prio(m, _PHASE_BWD),
                     device=dev(s),
                     meta={"stage": s, "micro_batch": m},
                 )
@@ -189,7 +204,7 @@ def build_1f1b(
                         duration=stages[s - 1].send_bwd_ms * comm_scale,
                         deps=(bwd_id(s, m),),
                         kind=TaskKind.COMM,
-                        priority=(m, _PHASE_BWD),
+                        priority=prio(m, _PHASE_BWD),
                         device=None,
                         meta={"stage": s, "micro_batch": m, "dir": "bwd"},
                     )
@@ -197,19 +212,21 @@ def build_1f1b(
 
     # Gradient synchronisation per stage after its last backward.
     for s in range(S):
-        resource = (
-            device_resource(dev(s)) if sync_on_device else sync_resource(dev(s))
-        )
         tasks.append(
             Task(
                 task_id=f"{p}sync[{s}]",
-                resource=resource,
+                resource=sync_resource(dev(s)),
                 duration=stages[s].sync_ms,
                 deps=(bwd_id(s, M - 1),),
                 kind=TaskKind.SYNC,
-                priority=(M, _PHASE_BWD + 1),
+                priority=prio(M, _PHASE_SYNC),
                 device=dev(s),
                 meta={"stage": s},
             )
         )
+    if forwards_first:
+        # Emit in dispatch order: a stable sort on the leading priority
+        # key (the phase group) moves every forward ahead of every
+        # backward and keeps micro-batch order within each group.
+        tasks.sort(key=lambda t: t.priority[0])
     return tasks

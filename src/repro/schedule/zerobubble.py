@@ -47,31 +47,20 @@ def build_zerobubble(
     *,
     self_conditioning: bool = False,
     feedback_ms: float = 0.0,
-    id_prefix: str = "",
-    device_offset: int = 0,
-    device_order: Sequence[int] | None = None,
-    comm_scale: float = 1.0,
-    sync_on_device: bool = False,
 ) -> list[Task]:
     """Build the split-backward (zero-bubble) task graph.
 
-    Accepts the same parameters as :func:`build_1f1b`; stage B/W
-    durations come from :attr:`StageExec.bwd_b_ms` /
-    :attr:`StageExec.bwd_w_ms` (defaulting to an even split).
+    Parameters are :func:`build_1f1b`'s; stage B/W durations come from
+    :attr:`StageExec.bwd_b_ms` / :attr:`StageExec.bwd_w_ms` (defaulting
+    to an even split).
     """
     stages = validate_stages(stages)
     M = num_micro_batches
-    p = id_prefix
     base = build_1f1b(
         stages,
         M,
         self_conditioning=self_conditioning,
         feedback_ms=feedback_ms,
-        id_prefix=id_prefix,
-        device_offset=device_offset,
-        device_order=device_order,
-        comm_scale=comm_scale,
-        sync_on_device=sync_on_device,
     )
     tasks: list[Task] = []
     w_ids: dict[int, list[str]] = {s.index: [] for s in stages}
@@ -80,7 +69,7 @@ def build_zerobubble(
             s = int(t.meta["stage"])  # type: ignore[arg-type]
             m = int(t.meta["micro_batch"])  # type: ignore[arg-type]
             tasks.append(replace(t, duration=stages[s].bwd_b_ms))
-            w_id = f"{p}w[{s},{m}]"
+            w_id = f"w[{s},{m}]"
             w_ids[s].append(w_id)
             tasks.append(
                 Task(

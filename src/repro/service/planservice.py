@@ -28,6 +28,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ..catalog import build_cluster, build_model, group_sizes
 from ..core import (
     DiffusionPipePlanner,
     PlannerCaches,
@@ -149,10 +150,8 @@ class _PlannerPool:
         # Built outside the lock: profiling dominates and is pure, so
         # two threads racing on a new key at worst profile twice; the
         # setdefault below keeps exactly one planner (and profile).
-        from ..cli import _build_cluster, _build_model, _group_sizes
-
-        model = _build_model(req.model, req.self_conditioning)
-        cluster = _build_cluster(req.gpus)
+        model = build_model(req.model, req.self_conditioning)
+        cluster = build_cluster(req.gpus)
         profile = Profiler(cluster).profile(model)
         if self.snapshot is not None:
             self.caches.load(self.snapshot, [profile])
@@ -161,7 +160,7 @@ class _PlannerPool:
             cluster,
             profile,
             options=PlannerOptions(
-                group_sizes=_group_sizes(cluster),
+                group_sizes=group_sizes(cluster),
                 heterogeneous_replication=req.heterogeneous,
                 fill_strategy=req.fill_strategy,
             ),

@@ -16,6 +16,12 @@ line.  Operations (``"op"`` field, default ``"plan"``):
 ``shutdown``
     Acknowledges, then stops the server loop cleanly.
 
+Every line gets exactly one reply: a line that is not a JSON object
+(including invalid UTF-8), is longer than :data:`LINE_LIMIT` bytes, or
+whose request fails (a bad field, an unwritable snapshot path) is
+answered with ``{"op": "error", "error": ...}`` and the connection
+stays open.
+
 Every connection is served concurrently (asyncio); the blocking
 planner work runs on the service's executor, so identical requests
 from different connections coalesce inside :class:`PlanService`.
@@ -29,6 +35,9 @@ from typing import Callable
 
 from ..errors import ReproError, ServiceError
 from .planservice import PlanRequest, PlanService
+
+#: longest request line the server reads (asyncio's default stream limit)
+LINE_LIMIT = 1 << 16
 
 
 async def _answer(service: PlanService, msg: dict) -> dict:
@@ -57,6 +66,26 @@ async def _answer(service: PlanService, msg: dict) -> dict:
     raise ServiceError(f"unknown op {op!r}")
 
 
+async def _next_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line: ``b""`` at end of stream, ``None`` for a
+    line over :data:`LINE_LIMIT`, which is consumed through its newline
+    so the following line is read intact."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # a last line without newline, or b"" at EOF
+    except asyncio.LimitOverrunError:
+        pass
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return None
+
+
 async def serve_async(
     service: PlanService,
     host: str = "127.0.0.1",
@@ -74,17 +103,23 @@ async def serve_async(
     async def handle(reader, writer):
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _next_line(reader)
+                if line == b"":
                     break
                 shutdown = False
                 try:
+                    if line is None:
+                        raise ServiceError(
+                            f"request line longer than {LINE_LIMIT} bytes"
+                        )
                     msg = json.loads(line)
                     if not isinstance(msg, dict):
                         raise ServiceError("request must be a JSON object")
                     shutdown = msg.get("op") == "shutdown"
                     out = await _answer(service, msg)
-                except (ReproError, json.JSONDecodeError, TypeError) as exc:
+                except (ReproError, ValueError, TypeError, OSError) as exc:
+                    # ValueError covers JSON and UTF-8 decoding errors;
+                    # OSError an unwritable snapshot path.
                     out = {"op": "error", "error": str(exc)}
                 writer.write(json.dumps(out).encode() + b"\n")
                 await writer.drain()
@@ -94,7 +129,7 @@ async def serve_async(
         finally:
             writer.close()
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port, limit=LINE_LIMIT)
     bound = server.sockets[0].getsockname()[1]
     if ready_cb is not None:
         ready_cb(bound)

@@ -7,6 +7,10 @@ batch — and asserts that
 * all three get valid answers (the identical pair byte-identical),
 * the service coalesced the duplicate (in-flight share or result-store
   hit, whichever the race produced),
+* three malformed lines — invalid UTF-8, a line over the server's
+  64 KiB limit, a snapshot into a missing directory — get one error
+  reply each on a single connection, and a ``stats`` request after
+  them is answered correctly,
 * ``{"op": "shutdown"}`` stops the server cleanly.
 
 Exit status 0 on success; any assertion or timeout exits non-zero.
@@ -15,8 +19,10 @@ Exit status 0 on success; any assertion or timeout exits non-zero.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import sys
+import tempfile
 import threading
 
 from .planservice import PlanService
@@ -29,17 +35,26 @@ DISTINCT = {**REQ, "batch": 64}
 TIMEOUT_S = 120.0
 
 
-def _ask(port: int, msg: dict) -> dict:
+def _ask_lines(port: int, lines: list[bytes]) -> list[dict]:
+    """Send raw lines on one connection; read one JSON reply per line."""
     with socket.create_connection((HOST, port), timeout=TIMEOUT_S) as sock:
         sock.settimeout(TIMEOUT_S)
-        sock.sendall(json.dumps(msg).encode() + b"\n")
-        buf = b""
-        while not buf.endswith(b"\n"):
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            buf += chunk
-    return json.loads(buf)
+        sock.sendall(b"".join(line + b"\n" for line in lines))
+        with sock.makefile("rb") as reader:
+            return [json.loads(reader.readline()) for _ in lines]
+
+
+def _ask(port: int, msg: dict) -> dict:
+    return _ask_lines(port, [json.dumps(msg).encode()])[0]
+
+
+def _malformed_lines(tmp: str) -> list[bytes]:
+    missing = os.path.join(tmp, "missing", "c.snap")
+    return [
+        b'{"op": "\xff"}',
+        b'{"op": "plan", "model": "' + b"x" * (1 << 17) + b'"}',
+        json.dumps({"op": "snapshot", "path": missing}).encode(),
+    ]
 
 
 def main() -> int:
@@ -83,7 +98,13 @@ def main() -> int:
         assert answers[0] == answers[1], "identical requests must agree"
         assert answers[2]["request"]["batch"] == 64
 
-        stats = _ask(port, {"op": "stats"})["metrics"]
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = _malformed_lines(tmp)
+            replies = _ask_lines(port, bad + [b'{"op": "stats"}'])
+        for line, reply in zip(bad, replies):
+            assert reply["op"] == "error" and reply["error"], (line[:40], reply)
+        assert replies[-1]["op"] == "stats", replies[-1]
+        stats = replies[-1]["metrics"]
         assert stats["requests"] == 3, stats
         shared = (
             stats["coalesced_inflight"] + stats["result_store"]["hits"]
@@ -105,7 +126,8 @@ def main() -> int:
     assert ans.get("ok"), f"shutdown not acknowledged: {ans}"
     server.join(30)
     assert not server.is_alive(), "server did not stop"
-    print("service smoke: ok (coalesced duplicate, clean shutdown)")
+    print("service smoke: ok (coalesced duplicate, malformed lines "
+          "answered, clean shutdown)")
     return 0
 
 

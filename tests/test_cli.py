@@ -72,13 +72,13 @@ def test_group_size_menu_respects_machine_boundaries():
     offer sizes that tile a machine: on multi-machine p4de worlds a
     D=3/D=6 group would straddle the inter-node link while being priced
     off the first (intra-node) group."""
-    from repro.cli import _build_cluster, _group_sizes
+    from repro.catalog import build_cluster, group_sizes
 
-    assert _group_sizes(_build_cluster(8)) == (2, 4, 8)
-    assert _group_sizes(_build_cluster(16)) == (2, 4, 8)
-    assert _group_sizes(_build_cluster(24)) == (2, 4, 8)  # not 3, 6
+    assert group_sizes(build_cluster(8)) == (2, 4, 8)
+    assert group_sizes(build_cluster(16)) == (2, 4, 8)
+    assert group_sizes(build_cluster(24)) == (2, 4, 8)  # not 3, 6
     # Single node: every divisor stays on the one machine.
-    assert _group_sizes(_build_cluster(6)) == (2, 3, 6)
+    assert group_sizes(build_cluster(6)) == (2, 3, 6)
 
 
 def test_plan_heterogeneous_cdm_non_divisible(capsys):
@@ -173,15 +173,15 @@ def test_engine_knobs_are_gone(capsys, command):
 def test_cluster_builder_raises_configuration_error():
     """Library callers (the planning service) get a typed error, never
     SystemExit; main() turns it into the CLI's one-line exit."""
-    from repro.cli import _build_cluster, _build_model, _parse_speed_factors
+    from repro.catalog import build_cluster, build_model, parse_speed_factors
 
     for gpus in (0, 12):
         with pytest.raises(ConfigurationError):
-            _build_cluster(gpus)
+            build_cluster(gpus)
     with pytest.raises(ConfigurationError, match="unknown model"):
-        _build_model("gpt5", None)
+        build_model("gpt5", None)
     with pytest.raises(ConfigurationError, match="RANK=FACTOR"):
-        _parse_speed_factors(["half"])
+        parse_speed_factors(["half"])
     with pytest.raises(SystemExit, match="multiple of 8"):
         main(["plan", "--gpus", "12"])
 

@@ -9,10 +9,10 @@ from repro.schedule import (
     Task,
     TaskKind,
     Timeline,
-    build_1f1b,
     device_resource,
     simulate,
 )
+from repro.schedule.onef1b import build_1f1b
 from repro.schedule.timeline import Interval
 
 

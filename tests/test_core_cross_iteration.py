@@ -10,7 +10,8 @@ from repro.core import (
     strict_idle_in_bubbles,
 )
 from repro.core.plan import BubbleUtilization, FillItem
-from repro.schedule import StageExec, Task, TaskKind, Timeline, build_1f1b, simulate
+from repro.schedule import StageExec, Task, TaskKind, Timeline, simulate
+from repro.schedule.onef1b import build_1f1b
 from repro.schedule import device_resource
 from repro.schedule.timeline import Interval
 

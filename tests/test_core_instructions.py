@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import FillItem, Op, format_streams, lower_timeline
 from repro.errors import ScheduleError
-from repro.schedule import StageExec, build_1f1b, simulate
+from repro.schedule import StageExec, simulate
+from repro.schedule.onef1b import build_1f1b
 
 
 def _timeline(S=2, M=2, sync=5.0):

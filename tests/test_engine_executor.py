@@ -20,7 +20,9 @@ from repro.engine import (
 from repro.engine.equivalence import max_param_diff
 from repro.core.instructions import lower_timeline
 from repro.errors import EngineError
-from repro.schedule import StageExec, build_1f1b, build_gpipe, simulate
+from repro.schedule import StageExec, simulate
+from repro.schedule.gpipe import build_gpipe
+from repro.schedule.onef1b import build_1f1b
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ from repro.export import (
     save_plan,
     timeline_to_chrome_trace,
 )
-from repro.schedule import StageExec, build_1f1b, simulate
+from repro.schedule import StageExec, simulate
+from repro.schedule.onef1b import build_1f1b
 
 
 def _timeline():

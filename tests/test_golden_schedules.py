@@ -6,7 +6,11 @@ This test pins the refactor to the exact pre-refactor numbers: the
 fig. 13a / 13c / 15 sweep outputs were captured at the commit *before*
 the registry landed (``python tests/test_golden_schedules.py
 --capture``) and every run since must reproduce them bit-for-bit
-(floats compared via ``float.hex``).
+(floats compared via ``float.hex``).  The ``interleaved`` and
+``zerobubble`` families, which no sweep selects, are pinned by their
+``bubble_ratio_by_family`` rows and one ``plan()`` each on SD at 8 GPUs;
+those keys were captured before the FIFO builders were merged into one
+core.
 
 If this test fails after an intentional behaviour change to the
 planner or cost model, re-capture the goldens in the same commit and
@@ -25,6 +29,8 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_sweeps.json"
 #: the multi-node planner paths while keeping the gate fast.
 MACHINE_COUNTS = (1, 2)
 FIG15_BATCHES = (256, 384)
+#: families the figure sweeps never select
+UNSWEPT_FAMILIES = ("interleaved", "zerobubble")
 
 
 def _hex(x: float) -> str:
@@ -45,15 +51,32 @@ def _ablation_to_json(result) -> dict:
     }
 
 
+def _family_rows_to_json(rows) -> list[list]:
+    return [
+        [r.family, _hex(r.bubble_ratio_unfilled), _hex(r.bubble_ratio_filled),
+         _hex(r.fill_fraction), _hex(r.throughput), r.config_label]
+        for r in rows
+    ]
+
+
+def _plan_to_json(plan) -> list:
+    return [
+        plan.config_label, _hex(plan.throughput), _hex(plan.iteration_ms),
+        _hex(plan.bubble_ratio_unfilled), _hex(plan.bubble_ratio_filled),
+    ]
+
+
 def compute_golden() -> dict:
     """Re-run the fig. 13a/13c/15 computations the goldens were cut from."""
     from repro.cluster import single_node
+    from repro.core import DiffusionPipePlanner, PlannerOptions
     from repro.harness import (
         CDM_LSUN_BATCHES,
         SD_BATCHES,
         CDMThroughputSweep,
         ThroughputSweep,
         ablation_throughputs,
+        bubble_ratio_by_family,
     )
     from repro.models.zoo import (
         cdm_lsun,
@@ -85,6 +108,22 @@ def compute_golden() -> dict:
         out[key] = _ablation_to_json(
             ablation_throughputs(model, cluster8, profile, batches=FIG15_BATCHES)
         )
+
+    for key, sc in (("families_sd", False), ("families_sd_sc", True)):
+        model = stable_diffusion_v2_1(self_conditioning=sc)
+        profile = Profiler(cluster8).profile(model)
+        out[key] = _family_rows_to_json(
+            bubble_ratio_by_family(
+                model, cluster8, profile, families=UNSWEPT_FAMILIES
+            )
+        )
+    model = stable_diffusion_v2_1(self_conditioning=False)
+    profile = Profiler(cluster8).profile(model)
+    for fam in UNSWEPT_FAMILIES:
+        planner = DiffusionPipePlanner(
+            model, cluster8, profile, options=PlannerOptions(schedule=fam)
+        )
+        out[f"plan_sd8_{fam}"] = _plan_to_json(planner.plan(256).plan)
     return out
 
 

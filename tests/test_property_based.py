@@ -22,13 +22,9 @@ from repro.core.partition import pareto_insert
 from repro.engine import SGD, PipelineTrainer, SingleDeviceTrainer, clone_chain, mlp_chain
 from repro.engine.equivalence import max_param_diff
 from repro.profiling import ProfileDB
-from repro.schedule import (
-    StageExec,
-    Task,
-    build_1f1b,
-    build_gpipe,
-    simulate,
-)
+from repro.schedule import StageExec, Task, simulate
+from repro.schedule.gpipe import build_gpipe
+from repro.schedule.onef1b import build_1f1b
 from repro.oracles import simulate_reference
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)

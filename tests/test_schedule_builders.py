@@ -6,12 +6,13 @@ from repro.errors import ConfigurationError
 from repro.schedule import (
     StageExec,
     TaskKind,
-    build_1f1b,
-    build_bidirectional,
-    build_gpipe,
+    get_family,
     simulate,
     validate_stages,
 )
+from repro.schedule.bidirectional import build_bidirectional
+from repro.schedule.gpipe import build_gpipe
+from repro.schedule.onef1b import build_1f1b
 
 
 def _stages(S, f=10.0, b=20.0, comm=0.0, sync=0.0):
@@ -155,7 +156,7 @@ def test_sync_runs_after_last_backward():
 
 def test_bidirectional_combines_two_pipelines():
     S, M = 2, 2
-    tasks = build_bidirectional(_stages(S, f=10, b=20), _stages(S, f=10, b=20), M, M)
+    tasks = build_bidirectional(_stages(S, f=10, b=20), _stages(S, f=10, b=20), M)
     tl = _sim(tasks, S)
     # Both pipelines' work lands on both devices.
     for dev in range(S):
@@ -169,7 +170,7 @@ def test_bidirectional_combines_two_pipelines():
 
 def test_bidirectional_stage_count_mismatch():
     with pytest.raises(ConfigurationError):
-        build_bidirectional(_stages(2), _stages(3), 2, 2)
+        build_bidirectional(_stages(2), _stages(3), 2)
 
 
 def test_bidirectional_colocated_replica_mismatch():
@@ -183,13 +184,13 @@ def test_bidirectional_colocated_replica_mismatch():
         StageExec(index=0, fwd_ms=1, bwd_ms=2, replicas=1),
         StageExec(index=1, fwd_ms=1, bwd_ms=2, replicas=2),
     ]
-    build_bidirectional(down, up_ok, 2, 2)  # mirrored counts: fine
+    build_bidirectional(down, up_ok, 2)  # mirrored counts: fine
     up_bad = [
         StageExec(index=0, fwd_ms=1, bwd_ms=2, replicas=2),
         StageExec(index=1, fwd_ms=1, bwd_ms=2, replicas=1),
     ]
     with pytest.raises(ConfigurationError, match="co-located"):
-        build_bidirectional(down, up_bad, 2, 2)
+        build_bidirectional(down, up_bad, 2)
 
 
 def test_comm_scale_doubles_transfers():
@@ -199,6 +200,36 @@ def test_comm_scale_doubles_transfers():
     c1 = next(t for t in t1 if t.kind == TaskKind.COMM)
     c2 = next(t for t in t2 if t.kind == TaskKind.COMM)
     assert c2.duration == 2 * c1.duration
+
+
+def test_gpipe_is_the_fifo_core_without_window():
+    """GPipe is the 1F1B graph without the in-flight window deps, with
+    every forward emitted (and dispatched) before any backward."""
+    S, M = 3, 5
+    kw = dict(self_conditioning=True, feedback_ms=1.0)
+    f1b = build_1f1b(_stages(S), M, **kw)
+    gpipe = build_gpipe(_stages(S), M, **kw)
+
+    def shape(tasks, drop_window):
+        return {
+            (t.task_id, t.kind, t.resource, t.duration, tuple(
+                d for d in t.deps
+                if not (drop_window and t.kind is TaskKind.FORWARD
+                        and d.startswith("bwd"))
+            ))
+            for t in tasks
+        }
+
+    assert shape(gpipe, False) == shape(f1b, True) != shape(f1b, False)
+    kinds = [t.kind for t in gpipe]
+    last_fwd = max(i for i, k in enumerate(kinds) if k is TaskKind.FORWARD)
+    assert last_fwd < kinds.index(TaskKind.BACKWARD)
+
+
+def test_bidirectional_family_rejects_self_conditioning():
+    family = get_family("bidirectional")
+    with pytest.raises(ConfigurationError, match="self-conditioning"):
+        family.build(_stages(2), 2, up=_stages(2), self_conditioning=True)
 
 
 def test_invalid_micro_batches():

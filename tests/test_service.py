@@ -112,11 +112,15 @@ class _Server:
                 buf += chunk
         return json.loads(buf)
 
-    def ask_lines(self, msgs: list[dict]) -> list[dict]:
-        """Send every message on one connection; read one reply each."""
+    def ask_lines(self, msgs: list[dict | bytes]) -> list[dict]:
+        """Send every message (a dict, or a raw line as bytes) on one
+        connection; read one reply each."""
         with socket.create_connection(("127.0.0.1", self.port), 30) as sock:
             sock.settimeout(60)
-            sock.sendall(b"".join(json.dumps(m).encode() + b"\n" for m in msgs))
+            sock.sendall(b"".join(
+                (m if isinstance(m, bytes) else json.dumps(m).encode()) + b"\n"
+                for m in msgs
+            ))
             reader = sock.makefile("rb")
             return [json.loads(reader.readline()) for _ in msgs]
 
@@ -179,22 +183,37 @@ def test_request_validation_rejects_bad_fields(fields):
         PlanRequest.from_dict({"model": "sd", "gpus": 2, "batch": 32, **fields})
 
 
-def test_server_answers_every_bad_request_and_stays_up():
-    """Each bad plan on one connection gets exactly one error reply, in
-    order, and a valid plan afterwards is answered correctly.
+def _bad_lines(tmp_path) -> list[dict | bytes]:
+    """Lines that never reach a plan: undecodable bytes, one line over
+    the server's 64 KiB stream limit, and a snapshot into a missing
+    directory."""
+    return [
+        b'{"op": "\xff"}',
+        b'{"op": "plan", "model": "' + b"x" * (1 << 17) + b'"}',
+        {"op": "snapshot", "path": str(tmp_path / "missing" / "c.snap")},
+    ]
+
+
+def test_server_answers_every_bad_request_and_stays_up(tmp_path):
+    """Each bad plan or bad line on one connection gets exactly one error
+    reply, in order, and a valid plan afterwards is answered correctly.
 
     Regression: ``gpus: 0`` and ``gpus: 12`` used to raise SystemExit
     from the CLI's cluster builder inside the worker, which stopped the
-    server loop; ``batch: NaN`` dropped the connection with no reply."""
+    server loop; ``batch: NaN``, invalid UTF-8, an over-long line and an
+    unwritable snapshot path dropped the connection with no reply."""
     base = {"op": "plan", "model": "sd", "gpus": 2, "batch": 32}
+    lines = _bad_lines(tmp_path)
     with _Server() as srv:
         replies = srv.ask_lines(
-            [{**base, **fields} for fields in BAD_PLAN_FIELDS] + [base]
+            [{**base, **fields} for fields in BAD_PLAN_FIELDS] + lines + [base]
         )
-        assert len(replies) == len(BAD_PLAN_FIELDS) + 1
+        assert len(replies) == len(BAD_PLAN_FIELDS) + len(lines) + 1
         for fields, reply in zip(BAD_PLAN_FIELDS, replies):
             failed = reply["op"] == "error" or not reply["ok"]
             assert failed and reply["error"], (fields, reply)
+        for reply in replies[len(BAD_PLAN_FIELDS):-1]:
+            assert reply["op"] == "error" and reply["error"], reply
         assert replies[-1]["ok"] and replies[-1]["throughput"] > 0
         with PlanService() as fresh:
             expect = fresh.plan(SMALL)

@@ -16,16 +16,10 @@ import random
 import pytest
 
 from repro.core.planner import DiffusionPipePlanner, PlannerOptions
-from repro.schedule import (
-    StageExec,
-    Task,
-    TaskKind,
-    build_1f1b,
-    build_bidirectional,
-    build_gpipe,
-    device_resource,
-    simulate,
-)
+from repro.schedule import StageExec, Task, TaskKind, device_resource, simulate
+from repro.schedule.bidirectional import build_bidirectional
+from repro.schedule.gpipe import build_gpipe
+from repro.schedule.onef1b import build_1f1b
 from repro.errors import ScheduleError
 from repro.oracles import simulate_reference
 
@@ -86,7 +80,7 @@ def test_bidirectional_equivalence(M):
                       send_fwd_ms=1.0, send_bwd_ms=1.0) for i in range(3)]
     up = [StageExec(index=i, fwd_ms=6.0 + 2 * i, bwd_ms=11.0 + i, sync_ms=4.0,
                     send_fwd_ms=0.7, send_bwd_ms=0.7) for i in range(3)]
-    assert_equivalent(build_bidirectional(down, up, M, M), 3)
+    assert_equivalent(build_bidirectional(down, up, M), 3)
 
 
 def test_filled_schedule_equivalence():
