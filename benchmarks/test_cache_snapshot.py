@@ -54,7 +54,7 @@ def test_snapshot_warm_sweep_5x(tmp_path):
     warm_src = PlannerCaches()
     baseline = _sweep(warm_src, src_profile, model, cluster)
     written = warm_src.snapshot(path)
-    assert written["het"] > 0 and written["timelines"] > 0, written
+    assert written["chains"] > 0 and written["timelines"] > 0, written
     del src_profile
 
     def measure():
@@ -114,7 +114,7 @@ def test_process_pool_worker_replays_snapshot_warm(tmp_path):
     warm_src = PlannerCaches()
     _sweep(warm_src, src_profile, model, cluster)
     written = warm_src.snapshot(path)
-    assert written["het"] > 0 and written["timelines"] > 0, written
+    assert written["chains"] > 0 and written["timelines"] > 0, written
     del src_profile
 
     def measure():

@@ -115,7 +115,7 @@ def test_het_dp_memo_speedup():
         t0 = time.perf_counter()
         first = sweep()
         cold = time.perf_counter() - t0
-        tables = caches.het.entry_count(profile)
+        tables = caches.chains.entry_count(profile)
         assert tables > 0, "cold sweep must build heterogeneous DP tables"
         # Best of three warm passes: the warm path is milliseconds of
         # cache reads, so a single scheduler stall on a shared CI
@@ -128,7 +128,7 @@ def test_het_dp_memo_speedup():
             assert first == second, "memoized sweep must be bit-identical"
         # Structural memo-hit evidence, independent of wall clock: the
         # warm sweeps added no DP tables.
-        assert caches.het.entry_count(profile) == tables
+        assert caches.chains.entry_count(profile) == tables
         return cold, warm
 
     # The wall-clock ratio is the acceptance criterion, but timing on

@@ -1,8 +1,8 @@
 """Array-kernel DP speedup gate (the PR's headline optimisation).
 
-Times cold table builds of the three partition DPs — heterogeneous
-1F1B, the uniform chain, and the CDM bidirectional DP — on the array
-kernels and on their :mod:`repro.oracles` recursions (substituted at
+Times cold table builds of the two partition DP kernels — the
+single-backbone 1F1B DP with free and with pinned (uniform) replica
+counts, and the CDM bidirectional DP — on the array kernels and on their :mod:`repro.oracles` recursions (substituted at
 the builder call site) on a fig13c/d-flavoured lattice: the CDM-LSUN
 down backbone on one NVSwitch node's cost constants, swept across the
 group sizes the figure's cluster sweep visits (D up to 64 devices) at
@@ -29,11 +29,7 @@ import time
 
 from repro.cluster.collectives import CommCosts
 from repro.core.caches import PlannerCaches
-from repro.core.partition import (
-    PartitionContext,
-    _chain_frontiers,
-    _het_frontiers,
-)
+from repro.core.partition import PartitionContext, _het_frontiers
 from repro.core.partition_cdm import CDMPartitionContext, _cdm_frontiers
 from tests.conftest import reference_dp_tables
 
@@ -95,12 +91,12 @@ def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
         return lambda: _het_frontiers(ctx, L, S, D, PlannerCaches())
 
     def chain():
-        return _chain_frontiers(ctx, 2, L, 4, PlannerCaches())
+        return _het_frontiers(ctx, L, 4, 8, PlannerCaches(), fixed_r=2)
 
     def cdm():
         return _cdm_frontiers(
-            cctx, 4, 2, PlannerCaches(), cut_step=2, max_frontier=8,
-            ld=ld, lu=lu,
+            cctx, 4, 8, PlannerCaches(), fixed_r=2, cut_step=2,
+            max_frontier=8, ld=ld, lu=lu,
         )
 
     def on_oracle(build):

@@ -14,6 +14,7 @@ from . import (  # noqa: F401  (import-for-effect: registry population)
     lock_discipline,
     oracle_imports,
     registry_bypass,
+    system_exit,
 )
 
 __all__ = [
@@ -23,4 +24,5 @@ __all__ = [
     "lock_discipline",
     "oracle_imports",
     "registry_bypass",
+    "system_exit",
 ]

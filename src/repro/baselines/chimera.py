@@ -152,7 +152,7 @@ class ChimeraBaseline:
         )
         memory = pipeline_memory_report(
             self.model, bidir_plan,
-            capacity_bytes=self.cluster.device_spec.memory_bytes,
+            capacity_bytes=self.cluster.min_memory_bytes(),
         )
         if not memory.fits:
             return _oom_result(self.name, global_batch, micro, memory)

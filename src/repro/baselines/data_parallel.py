@@ -119,7 +119,7 @@ class DataParallelBaseline:
         return data_parallel_memory_report(
             self.model,
             local_batch,
-            capacity_bytes=self.cluster.device_spec.memory_bytes,
+            capacity_bytes=self.cluster.min_memory_bytes(),
             zero3=False,
             world_size=self.cluster.world_size,
         )

@@ -168,7 +168,7 @@ class GPipeBaseline:
         memory = pipeline_memory_report(
             self.model,
             partition,
-            capacity_bytes=self.cluster.device_spec.memory_bytes,
+            capacity_bytes=self.cluster.min_memory_bytes(),
             schedule="gpipe",
         )
         if not memory.fits:

@@ -65,7 +65,7 @@ class SPPBaseline:
             # Every configuration OOMed or was infeasible.
             from ..core.plan import MemoryReport
 
-            cap = self.cluster.device_spec.memory_bytes
+            cap = self.cluster.min_memory_bytes()
             return _oom_result(
                 self.name,
                 global_batch,

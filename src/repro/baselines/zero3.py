@@ -45,7 +45,7 @@ class Zero3Baseline(DataParallelBaseline):
         return data_parallel_memory_report(
             self.model,
             local_batch,
-            capacity_bytes=self.cluster.device_spec.memory_bytes,
+            capacity_bytes=self.cluster.min_memory_bytes(),
             zero3=True,
             world_size=self.cluster.world_size,
         )

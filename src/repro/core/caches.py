@@ -1,8 +1,8 @@
 """Ownership of all planner memoisation: :class:`PlannerCaches`.
 
 Every warm table the planner builds — the partition DP Pareto
-histories (single-backbone, heterogeneous, and the bidirectional CDM
-variants), the filling prefix-time arrays, the lookahead fill shape
+histories (single-backbone and bidirectional CDM, each in both
+replication modes), the filling prefix-time arrays, the lookahead fill shape
 cache, the simulated-timeline memo, the partition/evaluation memos and
 the communication constants — lives in fields of one
 :class:`PlannerCaches` instance.  Nothing in :mod:`repro.core` reaches
@@ -48,17 +48,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PARTITION_CACHE_MAX = 16384
 EVAL_CACHE_MAX = 4096
 TIMELINE_CACHE_MAX = 8192
-CHAIN_CACHE_MAX_TABLES = 1024
-HET_CACHE_MAX_TABLES = 256
-CDM_CACHE_MAX_TABLES = 256
-CDM_HET_CACHE_MAX_TABLES = 256
+#: each DP store holds uniform and heterogeneous tables (tagged keys),
+#: so its capacity is the sum of the two retired per-mode stores'
+CHAIN_CACHE_MAX_TABLES = 1024 + 256
+CDM_CACHE_MAX_TABLES = 256 + 256
 PREFIX_CACHE_MAX = 8192
 KERNEL_PLAN_CACHE_MAX = 256
 
 SNAPSHOT_MAGIC = "repro-planner-caches"
 #: 2: partition-table keys no longer carry a DP-engine element, so a
-#: version-1 file's entries could load but would never hit
-SNAPSHOT_VERSION = 2
+#: version-1 file's entries could load but would never hit.
+#: 3: the ``het``/``cdm_het`` stores merged into ``chains``/``cdm``
+#: under mode-tagged keys, and uniform single-backbone tables became
+#: (layers, devices)-keyed heterogeneous-shaped tables
+SNAPSHOT_VERSION = 3
 
 
 class FillShapeCache:
@@ -224,9 +227,12 @@ class PlannerCaches:
         simulate-and-fill outcomes, with the filling-relevant
         :class:`PlannerOptions` knobs in the key so planners with
         different filling ablations never alias each other's entries.
-    ``chains`` / ``het`` / ``cdm`` / ``cdm_het``
+    ``chains`` / ``cdm``
         the per-profile M-independent DP Pareto tables of
-        :mod:`repro.core.partition` and :mod:`repro.core.partition_cdm`.
+        :mod:`repro.core.partition` (single backbone) and
+        :mod:`repro.core.partition_cdm` (bidirectional); each holds
+        both replication modes, under keys tagged ``"uniform"`` or
+        ``"het"``.
     ``prefixes``
         the per-profile filling prefix-time arrays of
         :mod:`repro.core.filling`.
@@ -260,9 +266,7 @@ class PlannerCaches:
         eval_max: int = EVAL_CACHE_MAX,
         timeline_max: int = TIMELINE_CACHE_MAX,
         chain_tables: int = CHAIN_CACHE_MAX_TABLES,
-        het_tables: int = HET_CACHE_MAX_TABLES,
         cdm_tables: int = CDM_CACHE_MAX_TABLES,
-        cdm_het_tables: int = CDM_HET_CACHE_MAX_TABLES,
         prefix_max: int = PREFIX_CACHE_MAX,
         kernel_plan_max: int = KERNEL_PLAN_CACHE_MAX,
         fills: FillShapeCache | None = None,
@@ -271,9 +275,7 @@ class PlannerCaches:
         self.comm = LruStore(None, name="comm")
         self.evals = LruStore(eval_max, name="evals")
         self.chains = ProfileKeyedStore(chain_tables, name="chains")
-        self.het = ProfileKeyedStore(het_tables, name="het")
         self.cdm = ProfileKeyedStore(cdm_tables, name="cdm")
-        self.cdm_het = ProfileKeyedStore(cdm_het_tables, name="cdm_het")
         self.prefixes = ProfileKeyedStore(prefix_max, name="prefixes")
         self.kernel_plans = LruStore(kernel_plan_max, name="kernel_plans")
         self.timelines = LruStore(timeline_max, name="timelines")
@@ -295,9 +297,7 @@ class PlannerCaches:
         self.comm.clear()
         self.evals.clear()
         self.chains.clear()
-        self.het.clear()
         self.cdm.clear()
-        self.cdm_het.clear()
         self.prefixes.clear()
         self.kernel_plans.clear()
         self.timelines.clear()
@@ -312,9 +312,7 @@ class PlannerCaches:
             self.comm.stats(),
             self.evals.stats(),
             self.chains.stats(),
-            self.het.stats(),
             self.cdm.stats(),
-            self.cdm_het.stats(),
             self.prefixes.stats(),
             self.kernel_plans.stats(),
             self.timelines.stats(),
@@ -328,7 +326,7 @@ class PlannerCaches:
 
     # -- persistence ---------------------------------------------------------
 
-    _PROFILE_STORES = ("chains", "het", "cdm", "cdm_het", "prefixes")
+    _PROFILE_STORES = ("chains", "cdm", "prefixes")
     _FILL_STORES = ("expansions", "prefixes", "finals")
 
     def snapshot(self, path, *, include_timelines: bool = True) -> dict:

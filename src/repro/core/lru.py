@@ -4,9 +4,7 @@ All the memo stores in this package (DP Pareto tables, partition plans,
 simulate-and-fill results, timelines, prefix-time arrays) follow the
 same policy: move an entry to the back on hit, evict the least recently
 used on insert at capacity.  One implementation here keeps the copies
-from drifting.
-
-Two store classes wrap the raw helpers for :class:`~repro.core.caches.
+from drifting.  Two store classes serve :class:`~repro.core.caches.
 PlannerCaches` ownership:
 
 * :class:`LruStore` — a flat bounded LRU with hit/miss/eviction
@@ -30,24 +28,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
-
-
-def lru_get(cache: OrderedDict, key):
-    """Return ``cache[key]`` (refreshing its recency) or None."""
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-    return value
-
-
-def lru_put(cache: OrderedDict, key, value, max_entries: int) -> None:
-    """Insert ``key -> value``, evicting the oldest entries at capacity."""
-    if key in cache:
-        cache.move_to_end(key)
-    else:
-        while len(cache) >= max_entries:
-            cache.popitem(last=False)
-    cache[key] = value
 
 
 @dataclass
@@ -81,8 +61,8 @@ class LruStore:
 
     ``max_entries=None`` disables eviction (for stores whose key space
     is naturally bounded, like the per-topology comm constants).
-    ``None`` values cannot be stored — like :func:`lru_get`, a ``None``
-    from :meth:`get` always means *miss*.
+    ``None`` values cannot be stored: a ``None`` from :meth:`get`
+    always means *miss*.
     """
 
     def __init__(self, max_entries: int | None, *, name: str = ""):

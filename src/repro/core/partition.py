@@ -26,11 +26,11 @@ self-conditioning activation probability ``p``.
 Because the objective is monotone in the pair ``(T0, T0^{S-C})`` — a
 triple with self-conditioning — an exact solution only needs the Pareto
 frontier of per-prefix values, which this module tracks explicitly
-(states are ``(layers-consumed, stages-used)``; frontier sizes stay
-small in practice).  Setting ``r != D/S`` per stage (heterogeneous
-replication) is supported behind a flag with devices added to the
-state, matching the general recursion (Eqns. 7-9); the default forces
-homogeneous replication as in the paper's evaluation (footnote 2).
+(states are ``(layers-consumed, devices-used)`` per stage count;
+frontier sizes stay small in practice).  One DP serves both
+replication modes: the general recursion (Eqns. 7-9) lets every stage
+pick its own replica count ``r``, and the default pins every stage to
+``r = D/S`` as in the paper's evaluation (footnote 2).
 """
 
 from __future__ import annotations
@@ -389,17 +389,16 @@ def partition_backbone(
 ) -> PartitionPlan:
     """Optimally cut one backbone into ``num_stages`` stages (§4.1/§4.3).
 
-    With ``heterogeneous=False`` every stage replicates on
-    ``group_size / num_stages`` devices (the paper's evaluation setting,
-    footnote 2) and the DP state is (layers, stages).  With
-    ``heterogeneous=True`` the per-stage replica count is free and the
-    remaining-device count joins the state (Eqns. 7-9).  ``caches``
-    holds the memoised DP tables (the process-wide default when None).
+    Both modes run the general recursion of Eqns. 7-9, whose state is
+    (layers, stages, devices).  With ``heterogeneous=False`` every
+    stage's replica count is pinned to ``group_size / num_stages`` (the
+    paper's evaluation setting, footnote 2); with ``heterogeneous=True``
+    each stage picks its own.  ``caches`` holds the memoised DP tables
+    (the process-wide default when None).
     """
     caches = caches if caches is not None else default_caches()
     S = num_stages
     D = group_size
-    M = ctx.num_micro_batches
     L = ctx.profile.num_layers(ctx.component)
     if S <= 0 or D <= 0:
         raise ConfigurationError("num_stages and group_size must be positive")
@@ -416,39 +415,25 @@ def partition_backbone(
         )
 
     if heterogeneous:
-        return _partition_heterogeneous(ctx, S, D, caches)
-
-    if D % S != 0:
-        raise PartitionError(
-            f"homogeneous replication needs S | D (got S={S}, D={D}); "
-            "use heterogeneous=True otherwise"
-        )
-    r = D // S
-    if ctx.micro_batch < r:
-        # Same per-replica sample floor the heterogeneous DP enforces
-        # (r_cap): a stage replica must see at least one sample per
-        # micro-batch.  Keeping both paths consistent preserves the
-        # invariant that the heterogeneous DP (which can always pick
-        # uniform r = D/S) never does worse than this path.
-        raise PartitionError(
-            f"uniform replication r={r} needs at least {r} samples per "
-            f"micro-batch (got {ctx.micro_batch:g})"
-        )
-    plan_stages, w, w_sc, y, obj = _solve_chain(ctx, r, L, S, caches)
-    stages = tuple(
-        StageAssignment(ctx.component, lo, hi, replicas=r) for lo, hi in plan_stages
-    )
-    return PartitionPlan(
-        down=stages,
-        num_stages=S,
-        num_micro_batches=M,
-        group_size=D,
-        batch_per_group=ctx.batch_per_group,
-        t_max_ms=obj,
-        w_ms=_expected_w(ctx, w, w_sc),
-        y_ms=y,
-        self_conditioning=ctx.self_conditioning,
-    )
+        fixed_r = None
+    else:
+        if D % S != 0:
+            raise PartitionError(
+                f"homogeneous replication needs S | D (got S={S}, D={D}); "
+                "use heterogeneous=True otherwise"
+            )
+        fixed_r = D // S
+        if ctx.micro_batch < fixed_r:
+            # Same per-replica sample floor the heterogeneous DP enforces
+            # (r_cap): a stage replica must see at least one sample per
+            # micro-batch.  Keeping both modes consistent preserves the
+            # invariant that the heterogeneous DP (which can always pick
+            # uniform r = D/S) never does worse than the uniform one.
+            raise PartitionError(
+                f"uniform replication r={fixed_r} needs at least {fixed_r} "
+                f"samples per micro-batch (got {ctx.micro_batch:g})"
+            )
+    return _select_plan(ctx, S, D, caches, fixed_r=fixed_r)
 
 
 def _expected_w(ctx: PartitionContext, w: float, w_sc: float) -> float:
@@ -480,108 +465,6 @@ def _objective(
     return p * sc + (1.0 - p) * vanilla
 
 
-def _chain_frontiers(
-    ctx: PartitionContext,
-    r: int,
-    L: int,
-    S: int,
-    caches: PlannerCaches,
-) -> tuple[list[tuple[tuple, ...]], float]:
-    """The (memoized) Pareto-DP table of :func:`_solve_chain`.
-
-    Returns ``(history, tf)``.  ``history[s][l]`` is the frontier of
-    (w, w_sc, y, cut, parent_index) for prefixes of ``l`` layers in
-    ``s`` stages; the first three values are objective coordinates,
-    cut/parent enable backtracking.  Frontier cells are frozen to
-    tuples before caching, so the read-only contract is enforced by
-    the engine: a caller mutating a local copy of a frontier must copy
-    it first and cannot corrupt the cached table.  ``tf`` is the
-    feedback time ``T_F`` (0.0 without self-conditioning), computed
-    with the table while the :class:`StageCosts` are warm.  The key is
-    derived arithmetically — the O(L) prefix sums are built only on a
-    cache miss.
-
-    Tables live in ``caches.chains``, keyed weakly by the profile so
-    sweeps sharing one DB (planner + SPP + ablation variants) share
-    the expensive DP work and tables die with the profile.  The
-    frontiers depend only on (component, S, the stage-local batch
-    size, the communication constants, the self-conditioning flag) —
-    notably *not* on the micro-batch count M or the self-conditioning
-    probability, which enter only the final objective selection.
-    """
-    key = (
-        ctx.component,
-        L,
-        S,
-        # The stage-local batch, exactly as StageCosts computes it.
-        ctx.micro_batch / r,
-        ctx.p2p,
-        # The sync constants actually resolved for this replica count:
-        # with a per-replica-count resolver, contexts sharing one
-        # stage-local batch but differing in (micro-batch, r) price
-        # Eqn. 4 differently and must not share a table.
-        ctx.allreduce_for(r),
-        ctx.self_conditioning,
-        # Zero-bubble pricing repurposes the second frontier coordinate
-        # for the ramp bound, so its tables must not alias the default
-        # ones (all non-splitting families share "default" tables).
-        ctx.zb_pricing,
-        # Heterogeneous device speeds: stage s covers the group-local
-        # window [(s-1)r, sr), so a scaled table depends on the full
-        # factor tuple AND on r — two contexts sharing one stage-local
-        # batch but differing in r slice different windows.  None keeps
-        # homogeneous keys stable across speed-agnostic callers.
-        None if ctx.speed_scales is None else (r, ctx.speed_scales),
-    )
-    cached = caches.chains.get(ctx.profile, key)
-    if cached is not None:
-        return cached
-
-    # Deferred import: the kernels build on this module's StageCosts.
-    from . import partition_kernels
-
-    history, tf = partition_kernels.chain_table_array(ctx, r, L, S)
-    history = [tuple(tuple(cell) for cell in row) for row in history]
-    cached = (history, tf)
-    caches.chains.put(ctx.profile, key, cached)
-    return cached
-
-
-def _solve_chain(
-    ctx: PartitionContext,
-    r: int,
-    L: int,
-    S: int,
-    caches: PlannerCaches,
-) -> tuple[list[tuple[int, int]], float, float, float, float]:
-    """Pareto DP over prefixes for a fixed replica count.
-
-    Returns (stage slices, W, W_sc, Y, objective).
-    """
-    history, tf = _chain_frontiers(ctx, r, L, S, caches)
-    final = history[S][L]
-    if not final:
-        raise PartitionError(
-            f"no feasible partition of {L} layers into {S} stages"
-        )
-    best = min(
-        final,
-        key=lambda e: (_objective(ctx, S, e[0], e[1], e[2], tf), e[0], e[2]),
-    )
-    obj = _objective(ctx, S, best[0], best[1], best[2], tf)
-
-    # Backtrack the cut positions.
-    cuts: list[int] = []
-    entry = best
-    for s in range(S, 0, -1):
-        c = entry[3]
-        cuts.append(c)
-        entry = history[s - 1][c][entry[4]]
-    cuts.reverse()
-    slices = [(cuts[i], cuts[i + 1] if i + 1 < S else L) for i in range(S)]
-    return slices, best[0], best[1], best[2], obj
-
-
 class _LazyStageCosts:
     """On-demand :class:`StageCosts` per replica count.
 
@@ -610,83 +493,114 @@ def _het_frontiers(
     S: int,
     D: int,
     caches: PlannerCaches,
+    *,
+    fixed_r: int | None = None,
 ) -> tuple[list[dict[tuple, tuple[tuple, ...]]], dict[int, float]]:
-    """The (memoized) Pareto-DP table of :func:`_partition_heterogeneous`.
+    """The (memoized) Pareto-DP table of :func:`_select_plan`.
 
     Returns ``(history, tf_by_r)``.  ``history[s][(l, d)]`` is the
     frontier of ``(w, w_sc, y, cut, replicas, parent_index)`` for
-    prefixes of ``l`` layers on ``d`` devices in ``s`` stages — except
-    the last stage, whose buckets are keyed ``(l, d, r)`` so that the
-    r-dependent feedback term cannot be pruned away by (w, w_sc, y)
-    dominance.  Frontiers are frozen to tuples before caching, so the
-    read-only contract is engine-enforced.  ``tf_by_r`` maps every
-    last-stage replica count to its feedback time ``T_F`` (empty
-    without self-conditioning); it is computed with the table — while
-    the per-``r`` ``StageCosts`` are warm — and cached alongside it, so
-    neither cold nor hit paths rebuild O(L) prefix sums for the final
-    selection.
+    prefixes of ``l`` layers on ``d`` devices in ``s`` stages.  With
+    free replica counts (``fixed_r=None``) the last stage's buckets are
+    keyed ``(l, d, r)`` so that the r-dependent feedback term cannot be
+    pruned away by (w, w_sc, y) dominance; ``fixed_r`` pins every stage
+    to ``D / S`` replicas (uniform replication), so ``d`` is always
+    ``s * r`` and no extra key is needed.  Frontiers are frozen to
+    tuples before caching, so the read-only contract is
+    engine-enforced.  ``tf_by_r`` maps every last-stage replica count
+    to its feedback time ``T_F`` (empty without self-conditioning),
+    computed with the table while the ``StageCosts`` are warm.
 
-    Tables live in ``caches.het``: the ``(layers, stages, devices)``
-    Pareto tables depend only on (component, L, S, D, the per-group
-    micro-batch size, the communication constants, the
-    self-conditioning flag) — not on the micro-batch *count* M or the
-    self-conditioning probability, which enter only the final objective
-    selection — so sweeps sharing one DB (planner + SPP + ablation
-    variants via one :class:`PlannerCaches`) share the expensive DP
-    work, and the tables die with the profile.
+    Tables live in ``caches.chains``, keyed weakly by the profile so
+    sweeps sharing one DB (planner + SPP + ablation variants) share
+    the expensive DP work and tables die with the profile.  The
+    frontiers do not depend on the micro-batch *count* M or the
+    self-conditioning probability, which enter only the final
+    objective selection; the keys are derived arithmetically, so the
+    O(L) prefix sums are built only on a miss.
     """
-    key = (
+    if fixed_r is None:
+        mode = (
+            "het",
+            D,
+            ctx.micro_batch,
+            # One table spans every replica count, so the key carries
+            # the sync model's identity (the resolver's constant tuple,
+            # or the flat CommCosts pair when no resolver is set).
+            ctx.sync_key,
+            # Per-device speed factors (the table's windows are
+            # internal to the DP state, so the tuple alone suffices).
+            ctx.speed_scales,
+        )
+    else:
+        r = fixed_r
+        mode = (
+            "uniform",
+            # The stage-local batch, exactly as StageCosts computes it:
+            # (micro-batch, r) combos sharing it share one table, and
+            # the selection labels stages with its caller's own r.
+            ctx.micro_batch / r,
+            # The sync constants actually resolved for this replica
+            # count: with a per-replica-count resolver, contexts sharing
+            # one stage-local batch but differing in r price Eqn. 4
+            # differently and must not share a table.
+            ctx.allreduce_for(r),
+            # Stage s covers the group-local window [(s-1)r, sr), so a
+            # scaled table depends on the factor tuple AND on r.  None
+            # keeps homogeneous keys stable across speed-agnostic
+            # callers.
+            None if ctx.speed_scales is None else (r, ctx.speed_scales),
+        )
+    key = mode + (
         ctx.component,
         L,
         S,
-        D,
-        ctx.micro_batch,
         ctx.p2p,
-        # One heterogeneous table spans every replica count, so the key
-        # carries the sync model's identity (the resolver's constant
-        # tuple, or the flat CommCosts pair when no resolver is set).
-        ctx.sync_key,
         ctx.self_conditioning,
-        # See _chain_frontiers: zero-bubble tables carry the ramp bound
-        # in the second coordinate and must not alias default ones.
+        # Zero-bubble pricing repurposes the second frontier coordinate
+        # for the ramp bound, so its tables must not alias the default
+        # ones.
         ctx.zb_pricing,
-        # Per-device speed factors (the table's windows are internal to
-        # the DP state, so the tuple alone suffices; D is above).
-        ctx.speed_scales,
     )
-    cached = caches.het.get(ctx.profile, key)
+    cached = caches.chains.get(ctx.profile, key)
     if cached is not None:
         return cached
 
+    # Deferred import: the kernels build on this module's StageCosts.
     from . import partition_kernels
 
-    history, tf_by_r = partition_kernels.het_table_array(ctx, L, S, D)
+    history, tf_by_r = partition_kernels.het_table_array(
+        ctx, L, S, D, fixed_r=fixed_r
+    )
     history = [
         {state: tuple(entries) for state, entries in stage.items()}
         for stage in history
     ]
     cached = (history, tf_by_r)
-    caches.het.put(ctx.profile, key, cached)
+    caches.chains.put(ctx.profile, key, cached)
     return cached
 
 
-def _partition_heterogeneous(
+def _select_plan(
     ctx: PartitionContext,
     S: int,
     D: int,
     caches: PlannerCaches,
+    *,
+    fixed_r: int | None,
 ) -> PartitionPlan:
-    """General DP with per-stage replica counts (Eqns. 7-9).
+    """Objective selection and backtrack over one DP table (Eqns. 7-9).
 
     State: (layers consumed, stages used, devices consumed) -> Pareto
     frontier of (W, W_sc, Y) with backtracking info (cut, replicas,
-    parent index).  Stage costs depend on the stage's own replica count;
-    :class:`StageCosts` are built lazily per used ``r`` and the DP table
-    is memoized per profile (``caches.het``), so only the final
-    M-dependent objective selection runs per call.
+    parent index).  The table is memoized per profile, so only this
+    M-dependent selection runs per call.  ``fixed_r`` labels every
+    stage with the caller's replica count: a uniform table may be
+    shared across (micro-batch, r) combos with one stage-local batch,
+    so its entries' own ``r`` records the builder's call.
     """
     L = ctx.profile.num_layers(ctx.component)
-    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches)
+    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches, fixed_r=fixed_r)
 
     # Accept any full assignment that uses all L layers; devices may be
     # partially used but using all of them never hurts, so prefer d = D.
@@ -697,31 +611,30 @@ def _partition_heterogeneous(
         for e in entries
     ]
     if not finals:
+        flavour = "heterogeneous partition" if fixed_r is None else "partition"
         raise PartitionError(
-            f"no feasible heterogeneous partition of {L} layers into {S} "
-            f"stages on {D} devices"
+            f"no feasible {flavour} of {L} layers into {S} stages on "
+            f"{D} devices"
         )
-    def tf_for(r: int) -> float:
-        # Prepopulated by _het_frontiers for every last-stage r.
-        return tf_by_r[r] if ctx.self_conditioning else 0.0
 
-    best_key, best = min(
-        finals,
-        key=lambda ke: (
-            _objective(ctx, S, ke[1][0], ke[1][1], ke[1][2], tf_for(ke[1][4])),
-            -ke[0][1],
-        ),
-    )
-    obj = _objective(ctx, S, best[0], best[1], best[2], tf_for(best[4]))
+    def rank(ke) -> tuple:
+        key, e = ke
+        # Prepopulated by _het_frontiers for every last-stage r.
+        tf = tf_by_r[e[4]] if ctx.self_conditioning else 0.0
+        return (_objective(ctx, S, e[0], e[1], e[2], tf), -key[1], e[0], e[2])
+
+    best_key, best = min(finals, key=rank)
+    obj = rank((best_key, best))[0]
 
     # Backtrack.
     assignments: list[StageAssignment] = []
     l, d, entry = best_key[0], best_key[1], best
     for s in range(S, 0, -1):
         c, r = entry[3], entry[4]
-        assignments.append(StageAssignment(ctx.component, c, l, replicas=r))
-        parent_key = (c, d - r)
-        entry = history[s - 1][parent_key][entry[5]]
+        assignments.append(
+            StageAssignment(ctx.component, c, l, replicas=fixed_r or r)
+        )
+        entry = history[s - 1][(c, d - r)][entry[5]]
         l, d = c, d - r
     assignments.reverse()
     for i, a in enumerate(assignments):

@@ -4,9 +4,9 @@ The pure-Python Pareto DPs in :mod:`.partition` and
 :mod:`.partition_cdm` spend essentially all of their cold time in loop
 overhead: profiling shows tens of thousands of ``max``/``pareto_insert``
 calls against a few hundred distinct segment-cost evaluations.  This
-module implements the three hot table builds — ``_chain_frontiers``,
-``_het_frontiers`` and the shared ``_cdm_dp_table`` engine — as array
-kernels:
+module implements the two hot table builds — the single-backbone
+``_het_frontiers`` and the bidirectional ``_cdm_frontiers``, each
+serving both replication modes — as array kernels:
 
 * per-``(cut, prefix)`` stage costs (``t0`` / ``t0_sc`` / ``t0_ramp`` /
   ``sync_gap``) become dense ``(L+1, L+1)`` slabs built from the same
@@ -47,7 +47,6 @@ import numpy as np
 from .partition import StageCosts, pareto_insert
 
 __all__ = [
-    "chain_table_array",
     "het_table_array",
     "cdm_table_array",
 ]
@@ -849,107 +848,27 @@ def _flatten_entries(
     return tuple(np.asarray(c, dtype=np.float64) for c in cols) + (counts,)
 
 
-# -- chain (uniform 1F1B) ----------------------------------------------------
+# -- single backbone (uniform and heterogeneous 1F1B) ------------------------
 
 
-def chain_table_array(ctx, r: int, L: int, S: int):
-    """Array twin of :func:`repro.oracles.chain_table_reference` — same
-    ``(history, tf)``, bit-identical entries in identical order."""
-    costs = StageCosts(ctx, r)
-    sc = ctx.self_conditioning
-    zb = ctx.zb_pricing
-    scaled = ctx.speed_scales is not None
-    if not scaled:
-        t0, alt, gap = _cost_slabs(costs, L, sc=sc, zb=zb)
-    else:
-        # One slab triple per distinct per-stage window factor: stage s
-        # covers group-local devices [(s-1)r, sr), and equal bottleneck
-        # factors share a slab.
-        comp_scale = ctx.comp_scale
-        slabs_by_sigma: dict[float, tuple] = {}
-
-    prev: list[list[tuple]] = [[] for _ in range(L + 1)]
-    prev[0] = [(0.0, 0.0, float("-inf"), -1, -1)]
-    history: list[list[list[tuple]]] = [prev]
-    for s in range(1, S + 1):
-        if scaled:
-            sigma = ctx.window_scale((s - 1) * r, r)
-            slab = slabs_by_sigma.get(sigma)
-            if slab is None:
-                slab = slabs_by_sigma[sigma] = _cost_slabs(
-                    costs, L, sc=sc, zb=zb,
-                    scale=sigma, comp_scale=comp_scale,
-                )
-            t0, alt, gap = slab
-        cur: list[list[tuple]] = [[] for _ in range(L + 1)]
-        # Flatten parents in (cell, entry) order — candidate generation
-        # order for every target l is exactly this flat order filtered
-        # to cells < l, which is a prefix (cells ascend).
-        pc: list[int] = []
-        pw: list[float] = []
-        ps: list[float] = []
-        py: list[float] = []
-        ppi: list[int] = []
-        for c in range(L + 1):
-            for pi, e in enumerate(prev[c]):
-                pc.append(c)
-                pw.append(e[0])
-                ps.append(e[1])
-                py.append(e[2])
-                ppi.append(pi)
-        ls = np.arange(s, L - (S - s) + 1, dtype=np.int64)
-        if pc and len(ls):
-            PC = np.asarray(pc, dtype=np.int64)
-            PW = np.asarray(pw)
-            PS = np.asarray(ps)
-            PY = np.asarray(py)
-            PPI = np.asarray(ppi, dtype=np.int64)
-            counts = np.searchsorted(PC, ls, side="left")
-            cpi = _ragged_arange(counts)
-            LL = np.repeat(ls, counts)
-            CC = PC[cpi]
-            CW = np.maximum(PW[cpi], t0[CC, LL])
-            CS = np.maximum(PS[cpi], alt[CC, LL])
-            CY = np.maximum(PY[cpi], gap[CC, LL])
-            if not sc and not zb:
-                # Default pricing reuses t0 for the second coordinate
-                # (partition.py), so CS == CW for every entry by
-                # induction from the (0.0, 0.0, ...) root — dominance
-                # over the triple degenerates to two columns and the
-                # sort-based staircase applies.
-                drop = _staircase_drop(CW, CY, counts)
-            else:
-                drop = _segmented_pareto((CW, CS, CY), counts)
-            kidx = np.flatnonzero(~drop)
-            seg_of = np.repeat(np.arange(len(ls), dtype=np.int64), counts)
-            rows = zip(
-                CW[kidx].tolist(),
-                CS[kidx].tolist(),
-                CY[kidx].tolist(),
-                CC[kidx].tolist(),
-                PPI[cpi][kidx].tolist(),
-                seg_of[kidx].tolist(),
-            )
-            lsl = ls.tolist()
-            for w, w2, y, c, pi, sg in rows:
-                cur[lsl[sg]].append((w, w2, y, c, pi))
-        history.append(cur)
-        prev = cur
-
-    tf = costs.feedback_ms() if ctx.self_conditioning else 0.0
-    return history, tf
-
-
-# -- heterogeneous 1F1B ------------------------------------------------------
-
-
-def het_table_array(ctx, L: int, S: int, D: int):
+def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
     """Array twin of :func:`repro.oracles.het_table_reference` — same
-    ``(history, tf_by_r)``, bit-identical entries and dict orders."""
+    ``(history, tf_by_r)``, bit-identical entries and dict orders.
+
+    ``fixed_r`` pins every stage to that replica count (uniform
+    replication, with ``D = S * fixed_r``): each state then has one
+    device count, ``s * fixed_r``, and the last stage is keyed
+    ``(l, d)`` like the others instead of ``(l, d, r)``.
+    """
     sc = ctx.self_conditioning
     zb = ctx.zb_pricing
     r_cap = int(ctx.micro_batch)
-    rmax = min(D - S + 1, r_cap)
+    if fixed_r is None:
+        rmax = min(D - S + 1, r_cap)
+        r_used = range(1, rmax + 1)
+    else:
+        rmax = fixed_r
+        r_used = (fixed_r,)
     costs_by_r: dict[int, StageCosts] = {}
 
     def costs_for(r: int) -> StageCosts:
@@ -958,49 +877,40 @@ def het_table_array(ctx, L: int, S: int, D: int):
             costs = costs_by_r[r] = StageCosts(ctx, r)
         return costs
 
+    # Slab per distinct (r, window factor): a stage of r replicas
+    # starting at group-local device pd runs at the bottleneck of
+    # scales[pd:pd+r].  SID maps (pd, r) to its slab, so the value
+    # gathers below stay single fancy-index expressions.  Homogeneous
+    # groups get one unscaled slab per r (``scale=None`` keeps the
+    # original op sequence byte-for-byte).
     scaled = ctx.speed_scales is not None
-    if not scaled:
-        shape = (rmax + 1, L + 1, L + 1)
-        ST0 = np.zeros(shape)
-        SALT = np.zeros(shape)
-        SGAP = np.zeros(shape)
-        for r in range(1, rmax + 1):
-            ST0[r], SALT[r], SGAP[r] = _cost_slabs(
-                costs_for(r), L, sc=sc, zb=zb
-            )
-        SID = None
-    else:
-        # Slab per distinct (r, window factor): a stage of r replicas
-        # starting at group-local device pd runs at the bottleneck of
-        # scales[pd:pd+r].  SID maps (pd, r) to its slab, so the value
-        # gathers below stay single fancy-index expressions.
-        comp_scale = ctx.comp_scale
-        SID = np.zeros((D + 1, rmax + 1), dtype=np.int64)
-        slab_id: dict[tuple[int, float], int] = {}
-        slab_params: list[tuple[int, float]] = []
-        for r in range(1, rmax + 1):
-            for pd in range(D - r + 1):
-                key = (r, ctx.window_scale(pd, r))
-                sid = slab_id.get(key)
-                if sid is None:
-                    sid = slab_id[key] = len(slab_params)
-                    slab_params.append(key)
-                SID[pd, r] = sid
-        shape = (len(slab_params), L + 1, L + 1)
-        ST0 = np.zeros(shape)
-        SALT = np.zeros(shape)
-        SGAP = np.zeros(shape)
-        for sid, (r, w) in enumerate(slab_params):
-            ST0[sid], SALT[sid], SGAP[sid] = _cost_slabs(
-                costs_for(r), L, sc=sc, zb=zb,
-                scale=w, comp_scale=comp_scale,
-            )
+    comp_scale = ctx.comp_scale if scaled else None
+    SID = np.zeros((D + 1, rmax + 1), dtype=np.int64)
+    slab_id: dict[tuple[int, float | None], int] = {}
+    slab_params: list[tuple[int, float | None]] = []
+    for r in r_used:
+        for pd in range(D - r + 1):
+            key = (r, ctx.window_scale(pd, r) if scaled else None)
+            sid = slab_id.get(key)
+            if sid is None:
+                sid = slab_id[key] = len(slab_params)
+                slab_params.append(key)
+            SID[pd, r] = sid
+    shape = (len(slab_params), L + 1, L + 1)
+    ST0 = np.zeros(shape)
+    SALT = np.zeros(shape)
+    SGAP = np.zeros(shape)
+    for sid, (r, w) in enumerate(slab_params):
+        ST0[sid], SALT[sid], SGAP[sid] = _cost_slabs(
+            costs_for(r), L, sc=sc, zb=zb, scale=w, comp_scale=comp_scale,
+        )
 
     history: list[dict[tuple, list[tuple]]] = [
         {(0, 0): [(0.0, 0.0, float("-inf"), -1, 0, -1)]}
     ]
     for s in range(1, S + 1):
         stages_left = S - s
+        keyed_by_r = not stages_left and fixed_r is None
         states = list(history[s - 1])
         PL = np.asarray([st[0] for st in states], dtype=np.int64)
         PD = np.asarray([st[1] for st in states], dtype=np.int64)
@@ -1010,8 +920,10 @@ def het_table_array(ctx, L: int, S: int, D: int):
 
         # Batch enumeration (one batch per (parent, l, r), in reference
         # loop order: parents in dict order, l outer, r inner).
-        nr = np.minimum(D - PD - stages_left, r_cap)
-        nr = np.maximum(nr, 0)
+        if fixed_r is None:
+            nr = np.maximum(np.minimum(D - PD - stages_left, r_cap), 0)
+        else:
+            nr = np.ones(len(states), dtype=np.int64)
         if stages_left:
             nl = np.maximum(L - stages_left - PL, 0)
         else:
@@ -1025,7 +937,10 @@ def het_table_array(ctx, L: int, S: int, D: int):
         local = _ragged_arange(n_per_p)
         nr_b = nr[P_b]
         il = local // nr_b
-        R_b = 1 + (local % nr_b)
+        if fixed_r is None:
+            R_b = 1 + (local % nr_b)
+        else:
+            R_b = np.full(total_b, fixed_r, dtype=np.int64)
         if stages_left:
             L_b = PL[P_b] + 1 + il
         else:
@@ -1035,10 +950,9 @@ def het_table_array(ctx, L: int, S: int, D: int):
 
         # Group batches by target state, preserving within-target
         # construction order (stable sort by first-occurrence rank).
-        if stages_left:
-            code = L_b * (D + 1) + D_b
-        else:
-            code = (L_b * (D + 1) + D_b) * (rmax + 1) + R_b
+        code = L_b * (D + 1) + D_b
+        if keyed_by_r:
+            code = code * (rmax + 1) + R_b
         uniq, first, inverse = np.unique(
             code, return_index=True, return_inverse=True
         )
@@ -1057,16 +971,20 @@ def het_table_array(ctx, L: int, S: int, D: int):
         tb_starts = np.cumsum(tb_counts) - tb_counts
 
         # Candidate expansion: one candidate per (batch, parent entry).
-        # Under mixed speeds the slab axis is the (pd, r) window's slab
-        # id; otherwise it is r itself — the original gather unchanged.
-        K_b = SID[PD[P_b], R_b] if scaled else R_b
+        K_b = SID[PD[P_b], R_b]
         T0_b = ST0[K_b, PL_b, L_b]
         GA_b = SGAP[K_b, PL_b, L_b]
-        if not sc and not zb:
-            # CS == CW under default pricing (see chain_table_array):
-            # dominance degenerates to two columns, so each batch is a
-            # corner-clamped frontier — prune it to its elbow survivors
-            # before the cross-batch staircase ever sees it.
+        # Default pricing reuses t0 for the second coordinate
+        # (partition.py), so CS == CW for every entry by induction from
+        # the (0.0, 0.0, ...) root: dominance over the triple
+        # degenerates to two columns and the sort-based staircase
+        # applies.
+        two_col = not sc and not zb
+        if two_col and fixed_r is None:
+            # Each batch is a corner-clamped frontier — prune it to its
+            # elbow survivors before the cross-batch staircase ever
+            # sees it.  (Pinned tables have one batch per parent cell
+            # and small frontiers, so the plain expansion wins there.)
             bidx, pil, CW, CY = _clamp_elbow(
                 EW, EY, estarts, ecounts, P_b, T0_b, GA_b
             )
@@ -1090,22 +1008,21 @@ def het_table_array(ctx, L: int, S: int, D: int):
             CS = np.maximum(ES[eidx], AL_b[bidx])
             CY = np.maximum(EY[eidx], GA_b[bidx])
             ct_counts = np.add.reduceat(counts_e, tb_starts)
-            drop = _segmented_pareto((CW, CS, CY), ct_counts)
+            if two_col:
+                drop = _staircase_drop(CW, CY, ct_counts)
+            else:
+                drop = _segmented_pareto((CW, CS, CY), ct_counts)
             kidx = np.flatnonzero(~drop)
 
         # Target states in creation order; assemble surviving entries.
         seg_of = np.repeat(np.arange(nt, dtype=np.int64), ct_counts)
-        TL = L_b[tb_starts]
-        TD = D_b[tb_starts]
-        TR = R_b[tb_starts]
-        if stages_left:
-            target_states = [
-                (int(TL[t]), int(TD[t])) for t in range(nt)
-            ]
+        TL = L_b[tb_starts].tolist()
+        TD = D_b[tb_starts].tolist()
+        if keyed_by_r:
+            TR = R_b[tb_starts].tolist()
+            target_states = list(zip(TL, TD, TR))
         else:
-            target_states = [
-                (int(TL[t]), int(TD[t]), int(TR[t])) for t in range(nt)
-            ]
+            target_states = list(zip(TL, TD))
         cur: dict[tuple, list[tuple]] = {st: [] for st in target_states}
         rows = zip(
             CW[kidx].tolist(),
@@ -1120,10 +1037,12 @@ def het_table_array(ctx, L: int, S: int, D: int):
             cur[target_states[sg]].append((w, w2, y, pl, rr, pi))
         history.append(cur)
 
+    # Feedback time of every last-stage replica count (a last-stage
+    # frontier is never empty, and all its entries share one r).
     tf_by_r: dict[int, float] = {}
     if ctx.self_conditioning:
-        for state in history[S]:
-            r = state[2]
+        for entries in history[S].values():
+            r = entries[0][4]
             if r not in tf_by_r:
                 tf_by_r[r] = costs_for(r).feedback_ms()
     return history, tf_by_r
@@ -1327,7 +1246,7 @@ def cdm_table_array(
     else:
         # Chain position k hosts its down AND up stage on the same
         # device window [pd, pd+r), so one (r, window factor) slab id
-        # serves both chains' gathers (see het_table_array).
+        # serves both chains' gathers (as in het_table_array).
         comp_scale = ctx.down.comp_scale
         SID = np.zeros((D + 1, rmax + 1), dtype=np.int64)
         slab_id: dict[tuple[int, float], int] = {}

@@ -28,7 +28,13 @@ from ..core.partition_cdm import (
 def chain_table_reference(
     ctx: PartitionContext, r: int, L: int, S: int
 ) -> tuple[list[list[list[tuple]]], float]:
-    """Oracle of :func:`~repro.core.partition_kernels.chain_table_array`."""
+    """The uniform-replication recursion in its own (layers, stages)
+    shape: ``history[s][l]`` lists ``(w, w_sc, y, cut, parent)``.
+
+    An independent oracle of
+    :func:`~repro.core.partition_kernels.het_table_array` with
+    ``fixed_r=r``, whose ``history[s][(l, s * r)]`` must reproduce
+    ``history[s][l]`` (the last stage only at ``l = L``)."""
     costs = StageCosts(ctx, r)
     scaled = ctx.speed_scales is not None
     comp_scale = ctx.comp_scale
@@ -92,9 +98,11 @@ def chain_table_reference(
 
 
 def het_table_reference(
-    ctx: PartitionContext, L: int, S: int, D: int
+    ctx: PartitionContext, L: int, S: int, D: int, fixed_r: int | None = None
 ) -> tuple[list[dict[tuple, list[tuple]]], dict[int, float]]:
-    """Oracle of :func:`~repro.core.partition_kernels.het_table_array`."""
+    """Oracle of :func:`~repro.core.partition_kernels.het_table_array`
+    (``fixed_r`` pins every stage's replica count, with
+    ``D = S * fixed_r``)."""
     costs_for = _LazyStageCosts(ctx)
     scaled = ctx.speed_scales is not None
     comp_scale = ctx.comp_scale
@@ -117,13 +125,17 @@ def het_table_reference(
         cur: dict[tuple[int, int], list[tuple]] = {}
         stages_left = S - s
         for (pl, pd), parents in history[s - 1].items():
-            # Device-count pruning: every remaining stage needs at least
-            # one device, so replica counts beyond ``D - pd -
-            # stages_left`` lead to unreachable states and are never
-            # generated (nor their StageCosts built).
-            max_r = min(D - pd - stages_left, r_cap)
-            if max_r <= 0:
-                continue
+            if fixed_r is not None:
+                r_values = (fixed_r,)
+            else:
+                # Device-count pruning: every remaining stage needs at
+                # least one device, so replica counts beyond ``D - pd -
+                # stages_left`` lead to unreachable states and are never
+                # generated (nor their StageCosts built).
+                max_r = min(D - pd - stages_left, r_cap)
+                if max_r <= 0:
+                    continue
+                r_values = range(1, max_r + 1)
             if stages_left:
                 # Leave at least one layer per remaining stage.
                 l_values = range(pl + 1, L - stages_left + 1)
@@ -132,7 +144,7 @@ def het_table_reference(
                 # feasible plan; partial prefixes are dead states.
                 l_values = (L,)
             for l in l_values:
-                for r in range(1, max_r + 1):
+                for r in r_values:
                     # The stage would occupy the group-local window
                     # [pd, pd+r); under mixed speeds its compute runs at
                     # the window's bottleneck factor, which joins the
@@ -167,8 +179,11 @@ def het_table_reference(
                     # (§4.3) depends on the *last* stage's r, so entries
                     # that differ only there are incomparable under the
                     # (w, w_sc, y) dominance test and must not prune
-                    # each other.
-                    state = (l, pd + r, r) if stages_left == 0 else (l, pd + r)
+                    # each other.  (A pinned r is the same everywhere.)
+                    if stages_left == 0 and fixed_r is None:
+                        state = (l, pd + r, r)
+                    else:
+                        state = (l, pd + r)
                     frontier = cur.setdefault(state, [])
                     for pi, parent in enumerate(parents):
                         cand = (
@@ -187,8 +202,8 @@ def het_table_reference(
     # otherwise rebuild the O(L) prefix sums on every cold table).
     tf_by_r: dict[int, float] = {}
     if ctx.self_conditioning:
-        for state in history[S]:
-            r = state[2]
+        for entries in history[S].values():
+            r = entries[0][4]
             if r not in tf_by_r:
                 tf_by_r[r] = costs_for(r).feedback_ms()
 

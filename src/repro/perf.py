@@ -31,7 +31,9 @@ whose caches survived the churn (the memo-hit path the >= 5x gate in
 ``benchmarks/test_elastic_replan.py`` enforces).
 
 Fields are only ever added, never renamed, so downstream tooling can
-pin on ``schema``.  Every timing is a best-of-N floor (single runs on
+pin on ``schema``: the ``chain`` row times the uniform-replication
+(pinned ``r``) build of the one single-backbone DP kernel, and
+``het1f1b`` its free-``r`` build.  Every timing is a best-of-N floor (single runs on
 shared CI boxes sit well above their dispersion floor); ``warm_s``
 times a second call against the same caches, i.e. the memo hit path.
 """
@@ -45,7 +47,7 @@ from typing import Any, Callable
 from .cluster import single_node
 from .cluster.collectives import CommCosts
 from .core.caches import PlannerCaches
-from .core.partition import PartitionContext, _chain_frontiers, _het_frontiers
+from .core.partition import PartitionContext, _het_frontiers
 from .core.partition_cdm import CDMPartitionContext, _cdm_frontiers
 from .profiling import Profiler
 
@@ -107,7 +109,7 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
         (
             "chain",
             "cdm-lsun down S=4 r=2",
-            lambda caches: _chain_frontiers(bctx, 2, L, 4, caches),
+            lambda caches: _het_frontiers(bctx, L, 4, 8, caches, fixed_r=2),
         ),
         (
             "het1f1b",
@@ -118,7 +120,8 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
             "cdm",
             "cdm-lsun S=4 r=2 cut=2 mf=8",
             lambda caches: _cdm_frontiers(
-                cctx, 4, 2, caches, cut_step=2, max_frontier=8, ld=ld, lu=lu,
+                cctx, 4, 8, caches, fixed_r=2, cut_step=2, max_frontier=8,
+                ld=ld, lu=lu,
             ),
         ),
     ]

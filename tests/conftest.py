@@ -97,7 +97,6 @@ def make_synthetic_db(
 
 #: production DP table builder -> the repro.oracles recursion it must match
 DP_TABLE_ORACLES = {
-    "chain_table_array": oracles.chain_table_reference,
     "het_table_array": oracles.het_table_reference,
     "cdm_table_array": oracles.cdm_table_reference,
 }

@@ -46,6 +46,7 @@ def test_rule_catalog():
         "lock-discipline",
         "oracle-imports",
         "registry-bypass",
+        "system-exit",
     )
     for name in rule_names():
         rule = get_rule(name)
@@ -150,6 +151,68 @@ def test_oracle_imports_skips_oracles_package(tmp_path):
     findings = run(tmp_path, "oracles/filling.py",
                    "from ..oracles.partition import x\n", ["oracle-imports"])
     assert findings == []
+
+
+# -- system-exit ------------------------------------------------------------
+
+
+def test_system_exit_fires_on_every_spelling(tmp_path):
+    findings = run(tmp_path, "service/bad.py", """\
+        import sys
+        from sys import exit
+
+        def stop(code):
+            if code:
+                raise SystemExit(code)
+            sys.exit(0)
+
+        def bare():
+            raise SystemExit
+
+        if __name__ == "__main__":
+            pass
+        else:
+            sys.exit(1)             # the else branch runs on import
+        """, ["system-exit"])
+    assert [f.rule for f in findings] == ["system-exit"] * 5
+    assert [f.line for f in findings] == [2, 6, 7, 10, 15]
+
+
+def test_system_exit_near_misses(tmp_path):
+    findings = run(tmp_path, "core/ok.py", """\
+        import sys
+
+        from repro.errors import ConfigurationError
+
+        def check(x):
+            if x < 0:
+                raise ConfigurationError("negative")
+            return sys.argv
+
+        def guarded(fn):
+            try:
+                return fn()
+            except SystemExit:      # catching is not ending the process
+                return None
+
+        def main():
+            return 0
+
+        if __name__ == "__main__":
+            sys.exit(main())
+
+        if "__main__" == __name__:
+            raise SystemExit(main())
+        """, ["system-exit"])
+    assert findings == []
+
+
+def test_system_exit_scope_spares_cli_entry_points(tmp_path):
+    code = "import sys\n\ndef main():\n    sys.exit(2)\n"
+    for rel in ("cli.py", "__main__.py"):
+        assert run(tmp_path, rel, code, ["system-exit"]) == []
+    findings = run(tmp_path, "harness/cli.py", code, ["system-exit"])
+    assert [f.path for f in findings] == ["harness/cli.py"]
 
 
 # -- lock-discipline --------------------------------------------------------

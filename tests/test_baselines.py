@@ -2,7 +2,10 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro.baselines import (
+    ChimeraBaseline,
     CDMStrategyConfig,
     DataParallelBaseline,
     GPipeBaseline,
@@ -14,8 +17,9 @@ from repro.baselines import (
     equal_layer_partition,
     single_backbone_view,
 )
-from repro.cluster import p4de_cluster
+from repro.cluster import DeviceSpec, p4de_cluster
 from repro.errors import ConfigurationError
+from repro.models import zoo
 from repro.profiling import Profiler
 
 
@@ -169,3 +173,32 @@ def test_cdm_strategies_reject_single_backbone(setup):
         SequentialCDMBaseline(model, cluster, prof)
     with pytest.raises(ConfigurationError):
         ParallelCDMBaseline(model, cluster, prof)
+
+
+def test_baselines_check_memory_against_the_smallest_device():
+    """On a mixed cluster every baseline's OOM bound is its smallest
+    device, exactly as the planner checks (``min_memory_bytes``): a
+    10 GB device among A100-80GBs must not be reported as fitting an
+    SD iteration that peaks at 47-59 GB per device."""
+    small = DeviceSpec(name="small-10GB", memory_bytes=10e9)
+    cluster = replace(p4de_cluster(1), device_specs={3: small})
+    assert cluster.min_memory_bytes() == small.memory_bytes
+    model = zoo.stable_diffusion_v2_1()
+    prof = Profiler(cluster).profile(model)
+    for baseline in (
+        GPipeBaseline(model, cluster, prof),
+        ChimeraBaseline(model, cluster, prof),
+        DataParallelBaseline(model, cluster, prof),
+        Zero3Baseline(model, cluster, prof),
+    ):
+        res = baseline.run(256)
+        assert res.memory.capacity_bytes == small.memory_bytes, res.name
+        assert res.oom, res.name
+
+    # SPP's all-OOM fallback reports the same bound.
+    tiny = DeviceSpec(name="tiny", memory_bytes=1e3)
+    cluster = replace(p4de_cluster(1), device_specs={3: tiny})
+    prof = Profiler(cluster).profile(model)
+    res = SPPBaseline(model, cluster, prof).run(256)
+    assert res.oom
+    assert res.memory.capacity_bytes == tiny.memory_bytes

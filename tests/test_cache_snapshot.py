@@ -99,6 +99,21 @@ def test_snapshot_rejects_version_1_files(tmp_path):
         PlannerCaches().load(path, [])
 
 
+def test_snapshot_rejects_version_2_files(tmp_path):
+    """Version 2 kept uniform and heterogeneous tables in separate
+    stores with untagged keys (``het``/``cdm_het`` beside
+    ``chains``/``cdm``); its uniform single-backbone tables also have a
+    different shape, so the file is refused outright."""
+    path = tmp_path / "v2.snap"
+    stores = {"chains": {}, "het": {}, "cdm": {}, "cdm_het": {}}
+    with open(path, "wb") as fh:
+        pickle.dump(
+            {"magic": SNAPSHOT_MAGIC, "version": 2, "stores": stores}, fh
+        )
+    with pytest.raises(SnapshotError, match="version 2 in"):
+        PlannerCaches().load(path, [])
+
+
 def test_interrupted_snapshot_keeps_the_old_file(tmp_path, monkeypatch):
     model = stable_diffusion_v2_1()
     cluster = single_node(2)

@@ -187,17 +187,17 @@ def test_heterogeneous_cache_is_micro_batch_keyed():
     partition_backbone(
         _ctx(db, batch=64, M=4), 2, 3, heterogeneous=True, caches=caches
     )
-    n_tables = caches.het.entry_count(db)
+    n_tables = caches.chains.entry_count(db)
     # Same micro-batch size (32/2 == 64/4): table is reused.
     partition_backbone(
         _ctx(db, batch=32, M=2), 2, 3, heterogeneous=True, caches=caches
     )
-    assert caches.het.entry_count(db) == n_tables
+    assert caches.chains.entry_count(db) == n_tables
     # Different micro-batch size: a new table.
     partition_backbone(
         _ctx(db, batch=64, M=2), 2, 3, heterogeneous=True, caches=caches
     )
-    assert caches.het.entry_count(db) == n_tables + 1
+    assert caches.chains.entry_count(db) == n_tables + 1
 
 
 def test_heterogeneous_dp_prunes_dead_states():
@@ -359,17 +359,17 @@ def test_het_cache_keyed_by_sync_model():
     partition_backbone(
         ctx_with(("a", 1e9), 1e9), 2, 3, heterogeneous=True, caches=caches
     )
-    n = caches.het.entry_count(db)
+    n = caches.chains.entry_count(db)
     # Same constants: memo hit, no new table.
     partition_backbone(
         ctx_with(("a", 1e9), 1e9), 2, 3, heterogeneous=True, caches=caches
     )
-    assert caches.het.entry_count(db) == n
+    assert caches.chains.entry_count(db) == n
     # Different resolver constants: a new table.
     partition_backbone(
         ctx_with(("a", 5e8), 5e8), 2, 3, heterogeneous=True, caches=caches
     )
-    assert caches.het.entry_count(db) == n + 1
+    assert caches.chains.entry_count(db) == n + 1
 
 
 def test_stage_costs_validation():

@@ -6,9 +6,11 @@ promise *bit-identical* outputs to the pure-Python recursions of
 associativity, same tie-breaking, exact float equality.  This suite fuzzes (L, S, D, layer
 costs) with hypothesis and compares the full frontier tables, the
 feedback times and the backtracked plans across all three pricing
-modes (default, self-conditioning, zero-bubble) and both CDM flavours
-(uniform ``fixed_r`` and heterogeneous), plus the capped-fold replay
-engine in isolation.  Comparisons are exact: every float is checked by
+modes (default, self-conditioning, zero-bubble) and both replication
+flavours of each kernel (uniform ``fixed_r`` and heterogeneous), plus
+the capped-fold replay engine in isolation.  The pinned single-backbone
+kernel is additionally checked against the independent
+(layers, stages)-shaped uniform recursion.  Comparisons are exact: every float is checked by
 ``.hex()``, entry order included.  The oracle tables are built through
 the production memo wrappers with the oracle substituted at the
 builder's call site (``reference_dp_tables``), so wrapper freezing and
@@ -28,17 +30,16 @@ from repro.cluster.collectives import CommCosts
 from repro.core.caches import PlannerCaches
 from repro.core.partition import (
     PartitionContext,
-    _chain_frontiers,
     _het_frontiers,
     partition_backbone,
 )
 from repro.core.partition_cdm import (
     CDMPartitionContext,
     _cdm_frontiers,
-    _cdm_het_frontiers,
     partition_cdm,
 )
 from repro.core import partition_kernels as pk
+from repro.oracles import chain_table_reference
 from repro.profiling import ProfileDB
 
 from .conftest import reference_dp_tables
@@ -59,14 +60,14 @@ layer_times = st.lists(
 PRICINGS = [(False, "default"), (True, "default"), (False, "zerobubble")]
 
 
-def _ctx(times, sc=False, pricing="default", M=2):
+def _ctx(times, sc=False, pricing="default", M=2, speed_scales=None):
     db = ProfileDB.from_layer_times(
         {"bb": list(times)}, batches=(1.0, 64.0), trainable={"bb": True}
     )
     return PartitionContext(
         profile=db, component="bb", batch_per_group=64.0,
         num_micro_batches=M, p2p=FAST, allreduce=FAST,
-        self_conditioning=sc, pricing=pricing,
+        self_conditioning=sc, pricing=pricing, speed_scales=speed_scales,
     )
 
 
@@ -83,14 +84,6 @@ def _assert_cells_identical(ref_cell, arr_cell, where):
                 assert v_ref == v_arr, (where, e_ref, e_arr)
 
 
-def _assert_chain_identical(h_ref, h_arr):
-    assert len(h_ref) == len(h_arr)
-    for s, (row_ref, row_arr) in enumerate(zip(h_ref, h_arr)):
-        assert len(row_ref) == len(row_arr)
-        for l, (c_ref, c_arr) in enumerate(zip(row_ref, row_arr)):
-            _assert_cells_identical(c_ref, c_arr, (s, l))
-
-
 def _assert_dicts_identical(h_ref, h_arr):
     assert len(h_ref) == len(h_arr)
     for s, (d_ref, d_arr) in enumerate(zip(h_ref, h_arr)):
@@ -101,7 +94,7 @@ def _assert_dicts_identical(h_ref, h_arr):
 
 
 # ---------------------------------------------------------------------------
-# Chain DP
+# Uniform replication: the single-backbone kernel with r pinned
 # ---------------------------------------------------------------------------
 
 
@@ -118,10 +111,59 @@ def test_chain_table_differential(times, S, mode):
     ctx = _ctx(times, sc=sc, pricing=pricing)
     L = len(times)
     with reference_dp_tables():
-        h_ref, tf_ref = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
-    h_arr, tf_arr = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
-    assert float(tf_ref).hex() == float(tf_arr).hex()
-    _assert_chain_identical(h_ref, h_arr)
+        h_ref, tf_ref = _het_frontiers(
+            ctx, L, S, 2 * S, PlannerCaches(), fixed_r=2
+        )
+    h_arr, tf_arr = _het_frontiers(
+        ctx, L, S, 2 * S, PlannerCaches(), fixed_r=2
+    )
+    assert set(tf_ref) == set(tf_arr)
+    for r in tf_ref:
+        assert float(tf_ref[r]).hex() == float(tf_arr[r]).hex()
+    _assert_dicts_identical(h_ref, h_arr)
+
+
+@given(
+    layer_times,
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(PRICINGS),
+    st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=12,
+                 max_size=12),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_pinned_het_kernel_matches_uniform_recursion(times, S, r, mode,
+                                                     scales):
+    """``het_table_array(fixed_r=r)`` reproduces the (layers, stages)
+    uniform recursion entry for entry and in order: ``history[s][l]``
+    is ``history[s][(l, s * r)]``, and the last stage keeps only the
+    full-chain prefix ``l = L`` (the other prefixes are dead states)."""
+    if S > len(times):
+        return
+    sc, pricing = mode
+    D = S * r
+    speed_scales = None if scales is None else tuple(scales[:D])
+    ctx = _ctx(times, sc=sc, pricing=pricing, speed_scales=speed_scales)
+    L = len(times)
+    h_ref, tf_ref = chain_table_reference(ctx, r, L, S)
+    h_arr, tf_arr = pk.het_table_array(ctx, L, S, D, fixed_r=r)
+    assert len(h_arr) == S + 1
+    for s in range(S + 1):
+        ls = [L] if s == S else [l for l in range(L + 1) if h_ref[s][l]]
+        assert list(h_arr[s]) == [(l, s * r) for l in ls], s
+        for l in ls:
+            got = [
+                (e[0], e[1], e[2], e[3], e[5]) for e in h_arr[s][(l, s * r)]
+            ]
+            assert all(e[4] == (r if s else 0) for e in h_arr[s][(l, s * r)])
+            _assert_cells_identical(h_ref[s][l], got, (s, l))
+    if sc:
+        assert float(tf_arr[r]).hex() == float(tf_ref).hex()
+    else:
+        assert tf_arr == {}
 
 
 @given(layer_times, st.integers(min_value=2, max_value=4))
@@ -217,12 +259,12 @@ def test_cdm_uniform_table_differential(dts, uts, S, cut_step, mf):
     ld, lu = len(dts), len(uts)
     with reference_dp_tables():
         f_ref = _cdm_frontiers(
-            ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-            ld=ld, lu=lu,
+            ctx, S, 2 * S, PlannerCaches(), fixed_r=2, cut_step=cut_step,
+            max_frontier=mf, ld=ld, lu=lu,
         )
     f_arr = _cdm_frontiers(
-        ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu,
+        ctx, S, 2 * S, PlannerCaches(), fixed_r=2, cut_step=cut_step,
+        max_frontier=mf, ld=ld, lu=lu,
     )
     _assert_dicts_identical(f_ref, f_arr)
 
@@ -243,11 +285,11 @@ def test_cdm_het_table_differential(dts, uts, S, extra, cut_step, mf):
     ld, lu = len(dts), len(uts)
     D = S + extra
     with reference_dp_tables():
-        f_ref = _cdm_het_frontiers(
+        f_ref = _cdm_frontiers(
             ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
             ld=ld, lu=lu,
         )
-    f_arr = _cdm_het_frontiers(
+    f_arr = _cdm_frontiers(
         ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
         ld=ld, lu=lu,
     )
@@ -348,25 +390,25 @@ def test_cached_chain_table_survives_caller_mutation():
     """The memo wrappers freeze frontier cells to tuples: a caller that
     takes a local copy of a frontier and mutates it cannot corrupt the
     cached table (the regression behind the docstring's read-only
-    contract)."""
+    contract).  Exercised on the uniform-replication (pinned) table."""
     times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
     ctx = _ctx(times)
     caches = PlannerCaches()
-    h1, tf1 = _chain_frontiers(ctx, 2, 5, 3, caches)
+    h1, tf1 = _het_frontiers(ctx, 5, 3, 6, caches, fixed_r=2)
     snapshot = [
-        [[tuple(e) for e in cell] for cell in row] for row in h1
+        {k: [tuple(e) for e in cell] for k, cell in row.items()} for row in h1
     ]
     # Cells are frozen: in-place mutation is impossible.
-    assert all(isinstance(cell, tuple) for row in h1 for cell in row)
-    with pytest.raises((TypeError, AttributeError)):
-        h1[3][5] += (("junk",),)  # tuples reject in-place concat on rows
+    assert all(isinstance(cell, tuple) for row in h1 for cell in row.values())
+    with pytest.raises(AttributeError):
+        h1[3][(5, 6)].append(("junk",))
     # A caller working on a local copy mutates only the copy.
-    local = [list(row) for row in h1]
-    local[3] = [()] * len(local[3])
-    h2, tf2 = _chain_frontiers(ctx, 2, 5, 3, caches)
+    local = [dict(row) for row in h1]
+    local[3][(5, 6)] = ()
+    h2, tf2 = _het_frontiers(ctx, 5, 3, 6, caches, fixed_r=2)
     assert tf2 == tf1
     assert [
-        [[tuple(e) for e in cell] for cell in row] for row in h2
+        {k: [tuple(e) for e in cell] for k, cell in row.items()} for row in h2
     ] == snapshot
 
 
@@ -385,7 +427,7 @@ def test_cached_het_and_cdm_tables_survive_caller_mutation():
 
     cctx = _cdm_ctx(times, times)
     f1 = _cdm_frontiers(
-        cctx, 2, 2, caches, cut_step=1, max_frontier=4, ld=4, lu=4
+        cctx, 2, 4, caches, fixed_r=2, cut_step=1, max_frontier=4, ld=4, lu=4
     )
     key = next(iter(f1[1]))
     snapshot = [tuple(e) for e in f1[1][key]]
@@ -393,7 +435,7 @@ def test_cached_het_and_cdm_tables_survive_caller_mutation():
     local = dict(f1[1])
     local[key] = ()
     f2 = _cdm_frontiers(
-        cctx, 2, 2, caches, cut_step=1, max_frontier=4, ld=4, lu=4
+        cctx, 2, 4, caches, fixed_r=2, cut_step=1, max_frontier=4, ld=4, lu=4
     )
     assert [tuple(e) for e in f2[1][key]] == snapshot
 
@@ -424,7 +466,7 @@ def test_cdm_plan_reused_across_adjacent_batches():
         cctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
         results.append(
             _cdm_frontiers(
-                cctx, 2, 2, caches, cut_step=1, max_frontier=4,
+                cctx, 2, 4, caches, fixed_r=2, cut_step=1, max_frontier=4,
                 ld=5, lu=5,
             )
         )
@@ -445,7 +487,7 @@ def test_cdm_plan_reused_across_adjacent_batches():
     cctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
     with reference_dp_tables():
         f_ref = _cdm_frontiers(
-            cctx, 2, 2, PlannerCaches(), cut_step=1, max_frontier=4,
-            ld=5, lu=5,
+            cctx, 2, 4, PlannerCaches(), fixed_r=2, cut_step=1,
+            max_frontier=4, ld=5, lu=5,
         )
     _assert_dicts_identical(f_ref, results[1])
