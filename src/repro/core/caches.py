@@ -61,7 +61,20 @@ SNAPSHOT_MAGIC = "repro-planner-caches"
 #: 3: the ``het``/``cdm_het`` stores merged into ``chains``/``cdm``
 #: under mode-tagged keys, and uniform single-backbone tables became
 #: (layers, devices)-keyed heterogeneous-shaped tables
-SNAPSHOT_VERSION = 3
+#: 4: a ``timelines`` entry is a :class:`Timeline` or a
+#: :class:`MakespanBound`
+SNAPSHOT_VERSION = 4
+
+
+@dataclass(frozen=True)
+class MakespanBound:
+    """A ``timelines`` memo entry for a task graph that was bounded but
+    not simulated: :func:`~repro.schedule.simulator.makespan_lower_bound`
+    of the graph, exposed under the same ``makespan`` name as the
+    :class:`~repro.schedule.timeline.Timeline` that replaces it once
+    the graph is simulated."""
+
+    makespan: float
 
 
 class FillShapeCache:
@@ -226,7 +239,10 @@ class PlannerCaches:
     ``evals``
         simulate-and-fill outcomes, with the filling-relevant
         :class:`PlannerOptions` knobs in the key so planners with
-        different filling ablations never alias each other's entries.
+        different filling ablations never alias each other's entries;
+        and, under keys tagged ``"timeline"``, each candidate stage
+        chain's ``timelines`` key, so a warm search reaches a chain's
+        timeline or bound without rebuilding its stage execs.
     ``chains`` / ``cdm``
         the per-profile M-independent DP Pareto tables of
         :mod:`repro.core.partition` (single backbone) and
@@ -241,7 +257,10 @@ class PlannerCaches:
         task-graph build (stage execs, micro-batch count,
         self-conditioning flag, feedback time, device weights), so
         identical configurations reached from different planners or
-        batches share one simulation.
+        batches share one simulation.  A task graph the planner's
+        search bounded but never simulated holds its
+        :class:`MakespanBound` under the same key instead; simulating
+        it later replaces the bound with the :class:`Timeline`.
     ``fills``
         the lookahead :class:`FillShapeCache`.
     ``kernel_plans``

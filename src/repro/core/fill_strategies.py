@@ -254,8 +254,8 @@ def _walk_moves(node: _MoveNode) -> list[_Move]:
 class _SearchCtx:
     """Per-fill constants of the lookahead search, computed once.
 
-    ``model.non_trainable`` re-derives a topological order on every
-    access, and the search visits thousands of states per bubble — so
+    ``model.non_trainable`` copies a list on every access, and the
+    search visits thousands of states per bubble — so
     the component order, layer counts, dependency lists and the
     always-done (trainable) name set are snapshotted here, and state
     keys are expanded against these arrays instead of the model.

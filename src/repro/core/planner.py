@@ -16,13 +16,19 @@ degree) — and for each feasible combination:
 4. estimates the steady-state iteration time and checks device memory;
 
 and finally returns the configuration with the highest throughput.
+:meth:`DiffusionPipePlanner.plan` finds it without running steps 2-4
+on every combination: it visits them best-first by an upper bound on
+their throughput and simulates or fills one only while its bound can
+still win (README "Bound-ordered search").
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 from ..cluster.collectives import CollectiveModel, CommCosts
@@ -32,11 +38,11 @@ from ..models.graph import ModelSpec
 from ..profiling.profiler import Profiler
 from ..profiling.records import ProfileDB
 from ..schedule import get_family, schedule_family_names
-from ..schedule.simulator import simulate
+from ..schedule.simulator import makespan_lower_bound, simulate
 from ..schedule.stages import StageExec
 from ..schedule.timeline import Timeline
 from .bubbles import DEFAULT_MIN_BUBBLE_MS, extract_bubbles
-from .caches import CacheStats, PlannerCaches, default_caches
+from .caches import CacheStats, MakespanBound, PlannerCaches, default_caches
 from .cross_iteration import compose_iteration
 from .fill_strategies import FILL_STRATEGIES, fill_strategy_names
 from .filling import VALID_LOCAL_BATCHES, BubbleFiller, FillShapeCache
@@ -53,6 +59,10 @@ __all__ = [
     "default_caches",
     "DiffusionPipePlanner",
 ]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -88,10 +98,27 @@ class PlannerOptions:
     cdm_cut_step: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("max_stages", "virtual_stages", "cdm_cut_step"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {getattr(self, name)!r}"
+                )
         if self.max_stages < 2:
             raise ConfigurationError("max_stages must be at least 2")
         if not self.micro_batch_counts:
             raise ConfigurationError("micro_batch_counts must be non-empty")
+        if not all(_is_int(m) and m >= 1 for m in self.micro_batch_counts):
+            raise ConfigurationError(
+                "micro_batch_counts entries must be positive ints, got "
+                f"{self.micro_batch_counts!r}"
+            )
+        if self.cdm_cut_step < 1:
+            raise ConfigurationError("cdm_cut_step must be at least 1")
+        if not (math.isfinite(self.min_bubble_ms) and self.min_bubble_ms >= 0):
+            raise ConfigurationError(
+                f"min_bubble_ms must be finite and >= 0, got "
+                f"{self.min_bubble_ms!r}"
+            )
         if self.fill_strategy not in FILL_STRATEGIES:
             raise ConfigurationError(
                 f"unknown fill strategy {self.fill_strategy!r}; "
@@ -408,7 +435,12 @@ class DiffusionPipePlanner:
     # -- planning ----------------------------------------------------------------------
 
     def candidate_plans(self, global_batch: float) -> list[EvaluatedConfig]:
-        """Evaluate every feasible configuration."""
+        """Evaluate every feasible configuration, in
+        :meth:`candidate_configs` order.
+
+        Exhaustive on purpose: the first-index argmax of this list is
+        the differential oracle of :meth:`plan`'s bounded search.
+        """
         out = []
         for D, S, M in self.candidate_configs(global_batch):
             ev = self.evaluate(global_batch, D, S, M)
@@ -417,14 +449,96 @@ class DiffusionPipePlanner:
         return out
 
     def plan(self, global_batch: float) -> EvaluatedConfig:
-        """Pick the highest-throughput configuration (Fig. 7 step 5)."""
-        candidates = self.candidate_plans(global_batch)
-        if not candidates:
-            raise ConfigurationError(
-                f"no feasible configuration for global batch {global_batch} "
-                f"on {self.cluster.world_size} devices"
+        """Pick the highest-throughput configuration (Fig. 7 step 5).
+
+        The result is bit-identical to the first maximum of
+        :meth:`candidate_plans` by throughput, found by a best-first
+        search that evaluates few candidates.  One heap holds an entry
+        per live candidate keyed ``(-bound, candidate index)``, where
+        the bound is at least the candidate's throughput, and only the
+        top entry is tightened:
+
+        * level 0 — ``samples / LB``, ``LB`` the task graph's
+          :func:`~repro.schedule.simulator.makespan_lower_bound`;
+        * level 1 — ``samples / pipeline_ms`` of the simulated graph,
+          sound because :func:`compose_iteration` adds a non-negative
+          leftover to the pipeline makespan;
+        * level 2 — the exact throughput, from :meth:`evaluate`.
+
+        The first level-2 entry popped is the answer: every other
+        candidate's key is at least its own, and a tie on throughput
+        goes to the lower index, as with :func:`max`.  Candidates whose
+        bound never reaches the top are neither simulated nor filled.
+        """
+        heap: list[tuple] = []
+        #: task graphs built for a bound, kept for their simulation
+        built: dict = {}
+        for index, (D, S, M) in enumerate(self.candidate_configs(global_batch)):
+            batch_per_group = global_batch / (self.cluster.world_size // D)
+            try:
+                partition = self._partition(batch_per_group, D, S, M)
+            except PartitionError:
+                continue
+            bound, simulated = self._throughput_bound(
+                global_batch, partition, batch_per_group, built, exact=False
             )
-        return max(candidates, key=lambda ev: ev.plan.throughput)
+            heappush(heap, (
+                -bound, index, int(simulated), (D, S, M),
+                (partition, batch_per_group),
+            ))
+        while heap:
+            _, index, level, item, inputs = heappop(heap)
+            if level == 2:
+                return item
+            if level == 0:
+                bound, _ = self._throughput_bound(
+                    global_batch, *inputs, built, exact=True
+                )
+                heappush(heap, (-bound, index, 1, item, inputs))
+                continue
+            ev = self.evaluate(global_batch, *item)
+            if ev is not None:
+                heappush(heap, (-ev.plan.throughput, index, 2, ev, None))
+        raise ConfigurationError(
+            f"no feasible configuration for global batch {global_batch} "
+            f"on {self.cluster.world_size} devices"
+        )
+
+    def _throughput_bound(
+        self,
+        global_batch: float,
+        partition: PartitionPlan,
+        batch_per_group: float,
+        built: dict,
+        *,
+        exact: bool,
+    ) -> tuple[float, bool]:
+        """An upper bound on :meth:`evaluate`'s throughput for this
+        partition — samples over the pipeline makespan, or over its
+        lower bound — and whether every makespan in it was simulated.
+
+        Evaluated with the same float operations as :meth:`evaluate`
+        (the self-conditioning mix included), so each rounding step is
+        monotone in a makespan that is at most the iteration time.
+        """
+        if self.model.self_conditioning and not partition.is_bidirectional:
+            plain = self._pipeline(
+                partition, batch_per_group, False, built, exact=exact
+            )
+            sc = self._pipeline(
+                partition, batch_per_group, True, built, exact=exact
+            )
+            p = self.model.self_conditioning_prob
+            pipeline_ms = (1 - p) * plain.makespan + p * sc.makespan
+            simulated = isinstance(plain, Timeline) and isinstance(sc, Timeline)
+        else:
+            timeline = self._pipeline(
+                partition, batch_per_group, False, built, exact=exact
+            )
+            pipeline_ms = timeline.makespan
+            simulated = isinstance(timeline, Timeline)
+        samples = global_batch * (2 if partition.is_bidirectional else 1)
+        return samples / pipeline_ms * 1e3, simulated
 
     # -- internals -----------------------------------------------------------------------
 
@@ -737,6 +851,95 @@ class DiffusionPipePlanner:
         sc: bool,
         nt_total: float,
     ):
+        timeline = self._pipeline(partition, batch_per_group, sc, {}, exact=True)
+        fill: FillReport | None = None
+        bubbles = None
+        if self.options.enable_bubble_filling:
+            bubbles = extract_bubbles(
+                timeline,
+                min_duration_ms=self.options.min_bubble_ms,
+                include_sync_spans=True,
+            )
+            filler = BubbleFiller(
+                self.profile,
+                self.model,
+                batch_per_group,
+                enable_partial_batch=self.options.enable_partial_batch,
+                partial_batch_menu=self.options.partial_batch_menu,
+                strategy=self.options.fill_strategy,
+                fill_cache=self.caches.fills,
+                caches=self.caches,
+                schedule=self.schedule,
+            )
+            fill = filler.fill(bubbles, leftover_devices=partition.group_size)
+
+        est = compose_iteration(
+            timeline,
+            fill,
+            nt_total,
+            total_devices=partition.group_size,
+            bubbles=bubbles,
+        )
+        return est, fill, timeline
+
+    def _pipeline(
+        self,
+        partition: PartitionPlan,
+        batch_per_group: float,
+        sc: bool,
+        built: dict,
+        *,
+        exact: bool,
+    ) -> Timeline | MakespanBound:
+        """The simulated :class:`Timeline` of one stage chain or, with
+        ``exact=False`` while the chain is not simulated yet, its
+        :class:`MakespanBound`.
+
+        Both live in ``caches.timelines`` under the chain's task-graph
+        key, which ``caches.evals`` memoises per (partition, batch, sc)
+        so that a warm lookup builds no stage execs.  ``built`` maps
+        task-graph keys to the ``(tasks, positions, weights)`` a bound
+        was computed from, so simulating the chain later reuses them.
+        """
+        chain_key = (
+            "timeline",
+            partition.down,
+            partition.up,
+            partition.num_micro_batches,
+            partition.group_size,
+            batch_per_group,
+            sc,
+            self.cluster,
+            weakref.ref(self.profile),
+            self.schedule,
+            self.options.virtual_stages if self._family.chunked else None,
+        )
+        graph = None
+        tl_key = self.caches.evals.get(chain_key)
+        if tl_key is None:
+            graph = self._task_graph(partition, sc)
+            tl_key = graph[0]
+            self.caches.evals.put(chain_key, tl_key)
+        entry = self.caches.timelines.get(tl_key)
+        if isinstance(entry, Timeline) or (entry is not None and not exact):
+            return entry
+        graph_inputs = built.pop(tl_key, None)
+        if graph_inputs is None:
+            if graph is None:
+                graph = self._task_graph(partition, sc)
+            _, build, positions, weights = graph
+            graph_inputs = (build(), positions, weights)
+        if exact:
+            entry = simulate(*graph_inputs)
+        else:
+            entry = MakespanBound(makespan_lower_bound(graph_inputs[0]))
+            built[tl_key] = graph_inputs
+        self.caches.timelines.put(tl_key, entry)
+        return entry
+
+    def _task_graph(self, partition: PartitionPlan, sc: bool):
+        """``(timelines key, build thunk, positions, device weights)``
+        of one stage chain under the planner's schedule family."""
         micro = partition.micro_batch
         M = partition.num_micro_batches
         S = partition.num_stages
@@ -772,75 +975,36 @@ class DiffusionPipePlanner:
                 S,
                 tuple(sorted(weights.items())),
             )
-            timeline = self.caches.timelines.get(tl_key)
-            if timeline is None:
-                tasks = family.build(down, M, up=up)
-                timeline = simulate(tasks, S, weights)
-                self.caches.timelines.put(tl_key, timeline)
+            return tl_key, lambda: family.build(down, M, up=up), S, weights
+        if family.chunked:
+            # partition.down is the chunk chain: v chunks per
+            # device-chain position, all replicating identically,
+            # so the simulator sees S/v physical positions.
+            positions = S // self.options.virtual_stages
         else:
-            if family.chunked:
-                # partition.down is the chunk chain: v chunks per
-                # device-chain position, all replicating identically,
-                # so the simulator sees S/v physical positions.
-                positions = S // self.options.virtual_stages
-            else:
-                positions = S
-            weights = {
-                i: partition.down[i].replicas for i in range(positions)
-            }
-            stages = self._stage_execs(partition.down, micro, sc=sc, group_size=D)
-            feedback = (
-                self._feedback_ms(partition.down, micro, group_size=D)
-                if sc
-                else 0.0
-            )
-            tl_key = (
-                self.schedule,
-                tuple(stages),
-                M,
-                sc,
-                feedback,
-                S,
-                tuple(sorted(weights.items())),
-            )
-            timeline = self.caches.timelines.get(tl_key)
-            if timeline is None:
-                tasks = family.build(
-                    stages,
-                    M,
-                    num_devices=positions if family.chunked else None,
-                    self_conditioning=sc,
-                    feedback_ms=feedback,
-                )
-                timeline = simulate(tasks, positions, weights)
-                self.caches.timelines.put(tl_key, timeline)
-
-        fill: FillReport | None = None
-        bubbles = None
-        if self.options.enable_bubble_filling:
-            bubbles = extract_bubbles(
-                timeline,
-                min_duration_ms=self.options.min_bubble_ms,
-                include_sync_spans=True,
-            )
-            filler = BubbleFiller(
-                self.profile,
-                self.model,
-                batch_per_group,
-                enable_partial_batch=self.options.enable_partial_batch,
-                partial_batch_menu=self.options.partial_batch_menu,
-                strategy=self.options.fill_strategy,
-                fill_cache=self.caches.fills,
-                caches=self.caches,
-                schedule=self.schedule,
-            )
-            fill = filler.fill(bubbles, leftover_devices=partition.group_size)
-
-        est = compose_iteration(
-            timeline,
-            fill,
-            nt_total,
-            total_devices=partition.group_size,
-            bubbles=bubbles,
+            positions = S
+        weights = {i: partition.down[i].replicas for i in range(positions)}
+        stages = self._stage_execs(partition.down, micro, sc=sc, group_size=D)
+        feedback = (
+            self._feedback_ms(partition.down, micro, group_size=D) if sc else 0.0
         )
-        return est, fill, timeline
+        tl_key = (
+            self.schedule,
+            tuple(stages),
+            M,
+            sc,
+            feedback,
+            S,
+            tuple(sorted(weights.items())),
+        )
+
+        def build():
+            return family.build(
+                stages,
+                M,
+                num_devices=positions if family.chunked else None,
+                self_conditioning=sc,
+                feedback_ms=feedback,
+            )
+
+        return tl_key, build, positions, weights

@@ -77,7 +77,18 @@ class ModelSpec:
         if not (0.0 <= self.self_conditioning_prob <= 1.0):
             raise ConfigurationError("self_conditioning_prob must be in [0, 1]")
         # A cycle anywhere in the component DAG is a configuration error.
-        self.topological_order()
+        # The spec is frozen, so the order is computed once, here.
+        order = self._sort_components()
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(
+            self,
+            "_non_trainable",
+            tuple(
+                self.components[n]
+                for n in order
+                if not self.components[n].trainable
+            ),
+        )
 
     # -- views ---------------------------------------------------------------
 
@@ -99,12 +110,7 @@ class ModelSpec:
     @property
     def non_trainable(self) -> list[ComponentSpec]:
         """Frozen components in topological (dependency-respecting) order."""
-        order = self.topological_order()
-        return [
-            self.components[n]
-            for n in order
-            if not self.components[n].trainable
-        ]
+        return list(self._non_trainable)
 
     def topological_order(self) -> list[str]:
         """Component names in a dependency-respecting order.
@@ -113,6 +119,9 @@ class ModelSpec:
         decoder fed by a backbone) but unusual; trainable backbones are
         sorted like any other node.
         """
+        return list(self._order)
+
+    def _sort_components(self) -> tuple[str, ...]:
         # Predecessors as tuples, not sets: the sorter emits ready nodes
         # in the order it first meets them, so set iteration would make
         # the order (and every fill search keyed on it) depend on the
@@ -122,7 +131,7 @@ class ModelSpec:
             for name, comp in self.components.items()
         }
         try:
-            return list(TopologicalSorter(graph).static_order())
+            return tuple(TopologicalSorter(graph).static_order())
         except CycleError as exc:
             raise ConfigurationError(
                 f"model {self.name} has a dependency cycle: {exc}"

@@ -37,8 +37,9 @@ oracle :func:`repro.oracles.simulate_reference` (see
 from __future__ import annotations
 
 from collections import defaultdict
+from graphlib import CycleError, TopologicalSorter
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import ScheduleError, SimulationError
 from .tasks import Task, validate_task_graph
@@ -182,3 +183,55 @@ def simulate(
     return Timeline(intervals, num_devices, device_weights)
 
 
+#: Relative deflation of :func:`makespan_lower_bound`'s resource-load
+#: term.  The simulator accumulates a resource's busy time as a chain of
+#: ``start + duration`` roundings in dispatch order, the bound sums the
+#: same durations in graph order; for ``n`` non-negative terms each sum
+#: is within ``(n - 1) * 2**-53`` of the exact one, so ``1e-9`` covers
+#: any resource with fewer than ~4 million tasks.
+LOAD_BOUND_SLACK = 1e-9
+
+
+def makespan_lower_bound(tasks: Sequence[Task]) -> float:
+    """A lower bound on ``simulate(tasks, ...).makespan``, without
+    simulating: the larger of
+
+    * the longest dependency path — exact in floats, because the
+      simulator starts every task at ``max(resource_free, deps' ends)``
+      and IEEE addition is monotone, so no simulated end can precede
+      the path's end computed the same way; and
+    * the busiest resource's summed durations, deflated by
+      :data:`LOAD_BOUND_SLACK` (a resource runs one task at a time,
+      but sums in another order than the simulator).
+
+    Raises :class:`ScheduleError` on malformed graphs, like
+    :func:`simulate`.
+    """
+    by_id = validate_task_graph(list(tasks))
+    try:
+        # The schedule builders emit every task after its dependencies.
+        return _bound_in_order(by_id.values())
+    except KeyError:
+        graph = {tid: t.deps for tid, t in by_id.items()}
+        try:
+            order = list(TopologicalSorter(graph).static_order())
+        except CycleError as exc:
+            raise ScheduleError(f"dependency cycle: {exc.args[1]}") from exc
+        return _bound_in_order(by_id[tid] for tid in order)
+
+
+def _bound_in_order(tasks: Iterable[Task]) -> float:
+    """:func:`makespan_lower_bound` of tasks listed in dependency order;
+    raises ``KeyError`` at a task listed before one of its deps."""
+    end: dict[str, float] = {}
+    load: dict[str, float] = defaultdict(float)
+    for t in tasks:
+        start = 0.0
+        for d in t.deps:
+            if end[d] > start:
+                start = end[d]
+        end[t.task_id] = start + t.duration
+        load[t.resource] += t.duration
+    path = max(end.values(), default=0.0)
+    busiest = max(load.values(), default=0.0)
+    return max(path, busiest * (1.0 - LOAD_BOUND_SLACK))

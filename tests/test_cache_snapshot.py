@@ -15,10 +15,11 @@ import pytest
 
 from repro.cluster import single_node
 from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
-from repro.core.caches import SNAPSHOT_MAGIC
+from repro.core.caches import SNAPSHOT_MAGIC, MakespanBound
 from repro.errors import SnapshotError
 from repro.models.zoo import stable_diffusion_v2_1
 from repro.profiling import Profiler
+from repro.schedule import Timeline
 
 OPTIONS = PlannerOptions(group_sizes=(2,), micro_batch_counts=(1, 2, 4))
 BATCHES = (32, 64)
@@ -112,6 +113,37 @@ def test_snapshot_rejects_version_2_files(tmp_path):
         )
     with pytest.raises(SnapshotError, match="version 2 in"):
         PlannerCaches().load(path, [])
+
+
+def test_snapshot_rejects_version_3_files(tmp_path):
+    """Version 3 predates :class:`MakespanBound` entries in the
+    ``timelines`` store, which a version-3 reader would take for
+    timelines; the loader reads its own version only."""
+    path = tmp_path / "v3.snap"
+    with open(path, "wb") as fh:
+        pickle.dump(
+            {"magic": SNAPSHOT_MAGIC, "version": 3, "stores": {}}, fh
+        )
+    with pytest.raises(SnapshotError, match="version 3 in"):
+        PlannerCaches().load(path, [])
+
+
+def test_snapshot_round_trips_bound_entries(tmp_path):
+    """Candidates the search bounded but never simulated keep their
+    :class:`MakespanBound` in the timeline memo, and the snapshot
+    restores each entry as the type it was written."""
+    model = stable_diffusion_v2_1()
+    cluster = single_node(2)
+    profile = Profiler(cluster).profile(model)
+    warm = PlannerCaches()
+    _warm_sweep(warm, profile, model, cluster)
+    kinds = {key: type(value) for key, value in warm.timelines.items()}
+    assert set(kinds.values()) == {Timeline, MakespanBound}
+    path = tmp_path / "caches.snap"
+    warm.snapshot(path)
+    cold = PlannerCaches()
+    cold.load(path, [profile])
+    assert {k: type(v) for k, v in cold.timelines.items()} == kinds
 
 
 def test_interrupted_snapshot_keeps_the_old_file(tmp_path, monkeypatch):

@@ -33,11 +33,135 @@ def test_candidate_configs_feasibility(cluster8, uniform, uniform_profile):
         assert (64 / dp) % M == 0
 
 
-def test_plan_picks_max_throughput(cluster8, uniform, uniform_profile):
-    planner = DiffusionPipePlanner(uniform, cluster8, uniform_profile, _options())
-    all_plans = planner.candidate_plans(64)
-    best = planner.plan(64)
-    assert best.plan.throughput == max(ev.plan.throughput for ev in all_plans)
+def _argmax_plan(model, cluster, profile, options, batch):
+    """The exhaustive oracle: first maximum of candidate_plans()."""
+    planner = DiffusionPipePlanner(model, cluster, profile, options,
+                                   caches=PlannerCaches())
+    return max(planner.candidate_plans(batch),
+               key=lambda ev: ev.plan.throughput).plan
+
+
+def _searched_plan(model, cluster, profile, options, batch):
+    planner = DiffusionPipePlanner(model, cluster, profile, options,
+                                   caches=PlannerCaches())
+    return planner.plan(batch).plan
+
+
+def _differential_cases():
+    """(label, model, cluster, options, batch) covering zoo and synthetic
+    models, every schedule family, heterogeneous replication, speed
+    factors, filling on and off, and self-conditioning."""
+    from repro.cluster import a100_40gb, single_node
+    from repro.models.zoo import (
+        cascaded_model,
+        long_layer_model,
+        stable_diffusion_v2_1,
+        two_encoder_model,
+    )
+
+    eight, six = single_node(8), single_node(6)
+    slow = single_node(4, speed_factors={0: 0.5, 3: 0.8})
+    small = single_node(8, device_spec=a100_40gb())
+    return [
+        ("uniform", uniform_model(), eight, _options(), 64),
+        ("uniform-sc", uniform_model(self_conditioning=True), eight,
+         _options(), 64),
+        ("uniform-unfilled", uniform_model(), eight,
+         _options(enable_bubble_filling=False), 64),
+        ("uniform-lookahead", uniform_model(), eight,
+         _options(fill_strategy="lookahead"), 64),
+        ("gpipe", uniform_model(), eight, _options(schedule="gpipe"), 64),
+        ("interleaved", uniform_model(), eight,
+         _options(schedule="interleaved"), 64),
+        ("zerobubble", uniform_model(), eight,
+         _options(schedule="zerobubble"), 64),
+        ("zerobubble-sc", uniform_model(self_conditioning=True), eight,
+         _options(schedule="zerobubble"), 64),
+        ("bidirectional", cascaded_model(), eight, _options(), 64),
+        ("heterogeneous", uniform_model(), six,
+         _options(group_sizes=(6,), heterogeneous_replication=True), 96),
+        ("heterogeneous-cdm", cascaded_model(), six,
+         _options(group_sizes=(6,), heterogeneous_replication=True), 96),
+        ("speed-factors", uniform_model(), slow,
+         _options(group_sizes=(2, 4)), 64),
+        ("two-encoder", two_encoder_model(), eight, _options(), 64),
+        ("long-layer", long_layer_model(), eight,
+         _options(enable_partial_batch=False), 64),
+        ("sd-sc", stable_diffusion_v2_1(self_conditioning=True), eight,
+         _options(check_memory=True, micro_batch_counts=(1, 2, 4, 8),
+                  group_sizes=(2, 4, 8)), 128),
+        # 12 of 20 candidates OOM, the unconstrained winner among them
+        ("sd-oom", stable_diffusion_v2_1(), small,
+         _options(check_memory=True, micro_batch_counts=(1, 2, 4, 8),
+                  group_sizes=(2, 4, 8)), 256),
+    ]
+
+
+def test_plan_picks_max_throughput():
+    """Differential: the bounded best-first search in plan() returns the
+    first-index argmax of the exhaustive candidate_plans(), bit for bit."""
+    from repro.profiling import Profiler
+
+    for label, model, cluster, options, batch in _differential_cases():
+        profile = Profiler(cluster).profile(model)
+        want = _argmax_plan(model, cluster, profile, options, batch)
+        got = _searched_plan(model, cluster, profile, options, batch)
+        assert got.config_label == want.config_label, label
+        assert float.hex(got.throughput) == float.hex(want.throughput), label
+        assert got == want, label
+
+
+def test_plan_breaks_exact_ties_by_candidate_index(
+    cluster8, uniform, uniform_profile
+):
+    """(S=2, M=2) ties exactly across D = 2, 4 and 8 on this model; the
+    plan is the tied candidate that candidate_configs yields first, so
+    reordering group_sizes moves the answer, as it moves max()'s."""
+    tied = {
+        ev.plan.partition.group_size
+        for ev in DiffusionPipePlanner(
+            uniform, cluster8, uniform_profile,
+            _options(group_sizes=(2, 4, 8)), caches=PlannerCaches(),
+        ).candidate_plans(64)
+        if ev.plan.config_label.startswith("S=2 M=2 ")
+    }
+    assert tied == {2, 4, 8}
+    for order in ((2, 4, 8), (8, 4, 2), (4, 8, 2)):
+        options = _options(group_sizes=order)
+        want = _argmax_plan(uniform, cluster8, uniform_profile, options, 64)
+        got = _searched_plan(uniform, cluster8, uniform_profile, options, 64)
+        assert want.partition.group_size == order[0]
+        assert got.partition.group_size == order[0]
+        assert float.hex(got.throughput) == float.hex(want.throughput)
+
+
+def test_warm_plan_rebuilds_nothing(cluster8, monkeypatch):
+    """A second plan() on the same caches reads every candidate's bound
+    or timeline from the memo: no stage execs or task graphs, no bounds,
+    no simulations."""
+    import repro.core.planner as planner_module
+    from repro.profiling import Profiler
+
+    calls = []
+    for sc in (False, True):
+        model = uniform_model(self_conditioning=sc)
+        profile = Profiler(cluster8).profile(model)
+        caches = PlannerCaches()
+
+        def plan():
+            return DiffusionPipePlanner(
+                model, cluster8, profile, _options(), caches=caches
+            ).plan(64).plan
+
+        first = plan()
+        with monkeypatch.context() as m:
+            for name in ("simulate", "makespan_lower_bound"):
+                m.setattr(planner_module, name,
+                          lambda *a, _n=name, **k: calls.append(_n))
+            m.setattr(DiffusionPipePlanner, "_task_graph",
+                      lambda *a, **k: calls.append("_task_graph"))
+            assert plan() == first
+    assert calls == []
 
 
 def test_filling_improves_iteration(cluster8, uniform, uniform_profile):
@@ -130,11 +254,36 @@ def test_three_backbones_rejected(cluster8):
         DiffusionPipePlanner(model, cluster8)
 
 
+#: option values PlannerOptions must reject with ConfigurationError
+BAD_OPTIONS = [
+    {"max_stages": 1},
+    {"micro_batch_counts": ()},
+    # Regressions: each escaped the planner as a raw Python error
+    # (ZeroDivisionError / TypeError) or failed only at plan time.
+    {"micro_batch_counts": (0,)},
+    {"micro_batch_counts": (4, -2)},
+    {"micro_batch_counts": (2.5,)},
+    {"micro_batch_counts": (True,)},
+    {"max_stages": 2.5},
+    {"virtual_stages": 2.5},
+    {"cdm_cut_step": 0},
+    {"cdm_cut_step": 1.5},
+    {"min_bubble_ms": -0.1},
+    {"min_bubble_ms": float("nan")},
+    {"min_bubble_ms": float("inf")},
+]
+
+
 def test_planner_options_validation():
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(max_stages=1)
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(micro_batch_counts=())
+    for kwargs in BAD_OPTIONS:
+        with pytest.raises(ConfigurationError):
+            PlannerOptions(**kwargs)
+
+
+def test_planner_options_accept_boundary_values():
+    opts = PlannerOptions(micro_batch_counts=(1,), cdm_cut_step=1,
+                          min_bubble_ms=0.0)
+    assert opts.cdm_cut_step == 1 and opts.min_bubble_ms == 0.0
 
 
 def test_planner_engines_agree_end_to_end(uniform, uniform_profile, cluster8):

@@ -9,7 +9,9 @@ graph must
   split families' BACKWARD_W) durations to ``M * bwd_ms`` — no family
   may invent, drop or migrate compute, whatever its bubble structure,
 * simulate identically on the event-driven engine and the full-rescan
-  reference oracle (same intervals, same makespan).
+  reference oracle (same intervals, same makespan),
+* never simulate faster than :func:`makespan_lower_bound` says, compared
+  exactly (the planner's search prunes on that bound).
 
 The device->stages map is family-specific: one stage per device for
 the linear families, co-located down/up pairs for ``bidirectional``
@@ -27,6 +29,7 @@ from repro.schedule import (
     StageExec,
     TaskKind,
     get_family,
+    makespan_lower_bound,
     simulate,
     validate_task_graph,
 )
@@ -146,6 +149,16 @@ def test_family_simulates_identically_on_both_engines(case):
     ]
     assert keys(fast) == keys(ref)
     assert fast.makespan == ref.makespan
+
+
+@given(family_case())
+@settings(max_examples=60, deadline=None)
+def test_makespan_lower_bound_is_sound(case):
+    name, down, up, M, positions, sc = case
+    family = get_family(name)
+    tasks = _build(name, down, up, M, positions, sc)
+    ndev = positions if family.chunked else len(down)
+    assert makespan_lower_bound(tasks) <= simulate(tasks, ndev).makespan
 
 
 def test_zerobubble_split_reconstructs_backward_exactly():

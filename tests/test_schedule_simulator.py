@@ -3,7 +3,14 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.schedule import Task, TaskKind, device_resource, simulate
+from repro.schedule import (
+    Task,
+    TaskKind,
+    device_resource,
+    makespan_lower_bound,
+    simulate,
+)
+from repro.schedule.simulator import LOAD_BOUND_SLACK
 from repro.schedule.tasks import link_resource, validate_task_graph
 
 
@@ -126,3 +133,41 @@ def test_validate_task_graph_self_dependency():
         Task(task_id="a", resource="r", duration=-1)
     by_id = validate_task_graph([_t("a", "r", 1)])
     assert set(by_id) == {"a"}
+
+
+def test_lower_bound_is_the_dependency_path_on_a_chain():
+    tasks = [
+        _t("a", device_resource(0), 5, dev=0),
+        _t("b", device_resource(0), 3, deps=["a"], dev=0),
+        _t("c", device_resource(1), 2, deps=["b"], dev=1),
+    ]
+    assert makespan_lower_bound(tasks) == simulate(tasks, 2).makespan == 10
+
+
+def test_lower_bound_counts_the_busiest_resource():
+    """Independent tasks on one device: the path term is one task, the
+    load term (deflated by LOAD_BOUND_SLACK) all three."""
+    tasks = [_t(f"t{i}", device_resource(0), 4.0, dev=0) for i in range(3)]
+    bound = makespan_lower_bound(tasks)
+    assert bound == 12.0 * (1.0 - LOAD_BOUND_SLACK)
+    assert 4.0 < bound < simulate(tasks, 1).makespan
+
+
+def test_lower_bound_rejects_cycles_and_accepts_empty_graphs():
+    with pytest.raises(ScheduleError, match="cycle"):
+        makespan_lower_bound([
+            _t("a", device_resource(0), 1, deps=["b"]),
+            _t("b", device_resource(0), 1, deps=["a"]),
+        ])
+    assert makespan_lower_bound([]) == 0.0
+
+
+def test_lower_bound_does_not_depend_on_task_order():
+    tasks = [
+        _t("a", device_resource(0), 5, dev=0),
+        _t("b", device_resource(0), 3, deps=["a"], dev=0),
+        _t("c", device_resource(1), 2, deps=["b", "a"], dev=1),
+        _t("d", device_resource(1), 1, dev=1),
+    ]
+    bound = makespan_lower_bound(tasks)
+    assert bound == makespan_lower_bound(tasks[::-1]) == 10
