@@ -1,18 +1,18 @@
-"""Work the planner's bounded search skips, counted rather than timed.
+"""Work the planner's bound-pruned search skips, counted rather than timed.
 
-``plan()`` visits (D, S, M) candidates best-first by an upper bound on
-their throughput: a task-graph lower bound on the makespan before
-simulation, the simulated pipeline makespan before filling.  A
-candidate is simulated or filled only while its bound can still beat
-the best exact throughput.  On the Fig. 13a SD-with-self-conditioning
-and Fig. 13c CDM-LSUN grids, with the benchmark planner options, this
-gate counts ``BubbleFiller.fill`` and ``simulate`` calls of a cold
-``plan()`` per cell against the exhaustive ``candidate_plans()``, and
-checks that both name the same plan.
+``plan()`` evaluates every (D, S, M) candidate against the best
+throughput found so far, and ``evaluate(..., beat=...)`` stops at the
+first upper bound on the candidate's throughput that cannot beat it: a
+task-graph lower bound on the makespan before simulation, the simulated
+pipeline makespan before filling.  On the Fig. 13a
+SD-with-self-conditioning and Fig. 13c CDM-LSUN grids, with the
+benchmark planner options, this gate counts ``BubbleFiller.fill`` and
+``simulate`` calls of a cold ``plan()`` per cell against the exhaustive
+``candidate_plans()``, and checks that both name the same plan.
 
 Gate: fill calls fall by at least 70% and simulate calls by at least
-40%.  Measured at introduction (noise-free profiles): SD-SC 672 -> 64
-fills and 672 -> 268 simulations; CDM-LSUN 360 -> 16 fills and
+40%.  Measured at introduction (noise-free profiles): SD-SC 672 -> 104
+fills and 672 -> 308 simulations; CDM-LSUN 360 -> 16 fills and
 360 -> 123 simulations.
 """
 

@@ -66,6 +66,7 @@ from .planner import (
     DiffusionPipePlanner,
     EvaluatedConfig,
     PlannerOptions,
+    PrunedConfig,
 )
 
 __all__ = [
@@ -120,5 +121,6 @@ __all__ = [
     "EvaluatedConfig",
     "PlannerCaches",
     "PlannerOptions",
+    "PrunedConfig",
     "apply_event",
 ]

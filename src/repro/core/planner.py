@@ -17,9 +17,10 @@ degree) — and for each feasible combination:
 
 and finally returns the configuration with the highest throughput.
 :meth:`DiffusionPipePlanner.plan` finds it without running steps 2-4
-on every combination: it visits them best-first by an upper bound on
-their throughput and simulates or fills one only while its bound can
-still win (README "Bound-ordered search").
+in full on every combination: it evaluates them against the best
+throughput found so far, and a combination is simulated or filled
+only while an upper bound on its throughput can still beat that
+(README "Bound-pruned search").
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 from ..cluster.collectives import CollectiveModel, CommCosts
@@ -53,6 +53,7 @@ from .plan import ExecutionPlan, FillReport, PartitionPlan, StageAssignment
 __all__ = [
     "PlannerOptions",
     "EvaluatedConfig",
+    "PrunedConfig",
     "PlannerCaches",
     "CacheStats",
     "FillShapeCache",
@@ -145,6 +146,15 @@ class EvaluatedConfig:
     plan: ExecutionPlan
     timeline: Timeline | None = None
     timeline_sc: Timeline | None = None
+
+
+@dataclass(frozen=True)
+class PrunedConfig:
+    """A configuration :meth:`DiffusionPipePlanner.evaluate` stopped
+    short of filling: ``bound`` is an upper bound on its throughput, and
+    at most the ``beat`` it was asked to exceed."""
+
+    bound: float
 
 
 class DiffusionPipePlanner:
@@ -329,12 +339,21 @@ class DiffusionPipePlanner:
     # -- evaluation of one configuration ----------------------------------------------
 
     def evaluate(
-        self, global_batch: float, group_size: int, num_stages: int, num_micro: int
-    ) -> EvaluatedConfig | None:
+        self,
+        global_batch: float,
+        group_size: int,
+        num_stages: int,
+        num_micro: int,
+        *,
+        beat: float | None = None,
+    ) -> EvaluatedConfig | PrunedConfig | None:
         """Fully evaluate one (D, S, M) configuration.
 
         Returns None when no feasible partition exists or the plan does
-        not fit in memory.
+        not fit in memory.  With ``beat``, a feasible configuration is
+        first bounded, and a :class:`PrunedConfig` is returned instead
+        of simulating or filling it once an upper bound on its
+        throughput is at most ``beat`` (:meth:`_throughput_bound`).
         """
         D, S, M = group_size, num_stages, num_micro
         world = self.cluster.world_size
@@ -374,9 +393,16 @@ class DiffusionPipePlanner:
             if not memory.fits:
                 return None
 
+        if beat is not None:
+            bound = self._throughput_bound(
+                global_batch, partition, batch_per_group, beat
+            )
+            if bound <= beat:
+                return PrunedConfig(bound)
+
         nt_total = self._nt_serial_ms(batch_per_group, D)
 
-        if self.model.self_conditioning and not partition.is_bidirectional:
+        if self._mixes_self_conditioning(partition):
             ev_plain = self._simulate_and_fill(
                 partition, batch_per_group, sc=False, nt_total=nt_total
             )
@@ -439,7 +465,7 @@ class DiffusionPipePlanner:
         :meth:`candidate_configs` order.
 
         Exhaustive on purpose: the first-index argmax of this list is
-        the differential oracle of :meth:`plan`'s bounded search.
+        the differential oracle of :meth:`plan`'s pruned search.
         """
         out = []
         for D, S, M in self.candidate_configs(global_batch):
@@ -452,95 +478,104 @@ class DiffusionPipePlanner:
         """Pick the highest-throughput configuration (Fig. 7 step 5).
 
         The result is bit-identical to the first maximum of
-        :meth:`candidate_plans` by throughput, found by a best-first
-        search that evaluates few candidates.  One heap holds an entry
-        per live candidate keyed ``(-bound, candidate index)``, where
-        the bound is at least the candidate's throughput, and only the
-        top entry is tightened:
+        :meth:`candidate_plans` by throughput.  Each candidate, in
+        :meth:`candidate_configs` order, is evaluated once with ``beat``
+        set to the best throughput so far, so :meth:`evaluate` stops at
+        the first of these upper bounds on its throughput that is at
+        most ``beat``:
 
-        * level 0 — ``samples / LB``, ``LB`` the task graph's
+        * ``samples / LB``, ``LB`` the task graph's
           :func:`~repro.schedule.simulator.makespan_lower_bound`;
-        * level 1 — ``samples / pipeline_ms`` of the simulated graph,
-          sound because :func:`compose_iteration` adds a non-negative
-          leftover to the pipeline makespan;
-        * level 2 — the exact throughput, from :meth:`evaluate`.
+        * ``samples / pipeline_ms`` of the simulated graph, sound
+          because :func:`compose_iteration` adds a non-negative leftover
+          to the pipeline makespan;
 
-        The first level-2 entry popped is the answer: every other
-        candidate's key is at least its own, and a tie on throughput
-        goes to the lower index, as with :func:`max`.  Candidates whose
-        bound never reaches the top are neither simulated nor filled.
+        and only a candidate that passes both is filled.  A pruned
+        candidate cannot exceed the best so far, and a later candidate
+        replaces the best only when strictly faster, so ties go to the
+        lower index, as with :func:`max`.
         """
-        heap: list[tuple] = []
-        #: task graphs built for a bound, kept for their simulation
-        built: dict = {}
-        for index, (D, S, M) in enumerate(self.candidate_configs(global_batch)):
-            batch_per_group = global_batch / (self.cluster.world_size // D)
-            try:
-                partition = self._partition(batch_per_group, D, S, M)
-            except PartitionError:
-                continue
-            bound, simulated = self._throughput_bound(
-                global_batch, partition, batch_per_group, built, exact=False
+        best: EvaluatedConfig | None = None
+        for D, S, M in self.candidate_configs(global_batch):
+            beat = None if best is None else best.plan.throughput
+            ev = self.evaluate(global_batch, D, S, M, beat=beat)
+            if isinstance(ev, EvaluatedConfig) and (
+                beat is None or ev.plan.throughput > beat
+            ):
+                best = ev
+        if best is None:
+            raise ConfigurationError(
+                f"no feasible configuration for global batch {global_batch} "
+                f"on {self.cluster.world_size} devices"
             )
-            heappush(heap, (
-                -bound, index, int(simulated), (D, S, M),
-                (partition, batch_per_group),
-            ))
-        while heap:
-            _, index, level, item, inputs = heappop(heap)
-            if level == 2:
-                return item
-            if level == 0:
-                bound, _ = self._throughput_bound(
-                    global_batch, *inputs, built, exact=True
-                )
-                heappush(heap, (-bound, index, 1, item, inputs))
-                continue
-            ev = self.evaluate(global_batch, *item)
-            if ev is not None:
-                heappush(heap, (-ev.plan.throughput, index, 2, ev, None))
-        raise ConfigurationError(
-            f"no feasible configuration for global batch {global_batch} "
-            f"on {self.cluster.world_size} devices"
-        )
+        return best
 
     def _throughput_bound(
         self,
         global_batch: float,
         partition: PartitionPlan,
         batch_per_group: float,
-        built: dict,
-        *,
-        exact: bool,
-    ) -> tuple[float, bool]:
+        beat: float,
+    ) -> float:
         """An upper bound on :meth:`evaluate`'s throughput for this
-        partition — samples over the pipeline makespan, or over its
-        lower bound — and whether every makespan in it was simulated.
+        partition: samples over the lower bound of each stage chain's
+        pipeline makespan, or, when that exceeds ``beat`` and does not
+        decide, over the simulated makespans.
 
-        Evaluated with the same float operations as :meth:`evaluate`
+        Computed with the same float operations as :meth:`evaluate`
         (the self-conditioning mix included), so each rounding step is
         monotone in a makespan that is at most the iteration time.
         """
-        if self.model.self_conditioning and not partition.is_bidirectional:
-            plain = self._pipeline(
-                partition, batch_per_group, False, built, exact=exact
-            )
-            sc = self._pipeline(
-                partition, batch_per_group, True, built, exact=exact
-            )
+        scs = (False, True) if self._mixes_self_conditioning(partition) else (False,)
+        makespans, chains = [], []
+        for sc in scs:
+            tl_key, entry, graph = self._chain(partition, batch_per_group, sc)
+            tasks = None
+            if entry is None:
+                graph = graph or self._task_graph(partition, sc)
+                tasks = graph[1]()
+                entry = MakespanBound(makespan_lower_bound(tasks))
+                self.caches.timelines.put(tl_key, entry)
+            makespans.append(entry.makespan)
+            chains.append((sc, tl_key, entry, graph, tasks))
+        bound = self._samples_per_s(global_batch, partition, makespans)
+        if bound <= beat:
+            return bound
+        # A chain bounded just now is simulated from the same task list:
+        # rebuilding it cost ~8% of a cold fig13a-SC pass.
+        for i, (sc, tl_key, entry, graph, tasks) in enumerate(chains):
+            if not isinstance(entry, Timeline):
+                _, build, positions, weights = (
+                    graph or self._task_graph(partition, sc)
+                )
+                if tasks is None:
+                    tasks = build()
+                entry = simulate(tasks, positions, weights)
+                self.caches.timelines.put(tl_key, entry)
+            makespans[i] = entry.makespan
+        return self._samples_per_s(global_batch, partition, makespans)
+
+    def _samples_per_s(
+        self, global_batch: float, partition: PartitionPlan,
+        makespans: list[float],
+    ) -> float:
+        """Samples per second at these per-chain makespans, mixed over
+        self-conditioning the way :meth:`evaluate` mixes iteration
+        times."""
+        if len(makespans) == 2:
             p = self.model.self_conditioning_prob
-            pipeline_ms = (1 - p) * plain.makespan + p * sc.makespan
-            simulated = isinstance(plain, Timeline) and isinstance(sc, Timeline)
+            ms = (1 - p) * makespans[0] + p * makespans[1]
         else:
-            timeline = self._pipeline(
-                partition, batch_per_group, False, built, exact=exact
-            )
-            pipeline_ms = timeline.makespan
-            simulated = isinstance(timeline, Timeline)
+            (ms,) = makespans
         samples = global_batch * (2 if partition.is_bidirectional else 1)
-        return samples / pipeline_ms * 1e3, simulated
+        return samples / ms * 1e3
 
     # -- internals -----------------------------------------------------------------------
+
+    def _mixes_self_conditioning(self, partition: PartitionPlan) -> bool:
+        """Whether the iteration time mixes a plain and a
+        self-conditioned pipeline (single-backbone models only)."""
+        return self.model.self_conditioning and not partition.is_bidirectional
 
     @property
     def _partition_mode(self) -> tuple:
@@ -851,7 +886,7 @@ class DiffusionPipePlanner:
         sc: bool,
         nt_total: float,
     ):
-        timeline = self._pipeline(partition, batch_per_group, sc, {}, exact=True)
+        timeline = self._pipeline(partition, batch_per_group, sc)
         fill: FillReport | None = None
         bubbles = None
         if self.options.enable_bubble_filling:
@@ -882,24 +917,14 @@ class DiffusionPipePlanner:
         )
         return est, fill, timeline
 
-    def _pipeline(
-        self,
-        partition: PartitionPlan,
-        batch_per_group: float,
-        sc: bool,
-        built: dict,
-        *,
-        exact: bool,
-    ) -> Timeline | MakespanBound:
-        """The simulated :class:`Timeline` of one stage chain or, with
-        ``exact=False`` while the chain is not simulated yet, its
-        :class:`MakespanBound`.
+    def _chain(self, partition: PartitionPlan, batch_per_group: float, sc: bool):
+        """``(timelines key, memo entry, task graph)`` of one stage chain.
 
-        Both live in ``caches.timelines`` under the chain's task-graph
-        key, which ``caches.evals`` memoises per (partition, batch, sc)
-        so that a warm lookup builds no stage execs.  ``built`` maps
-        task-graph keys to the ``(tasks, positions, weights)`` a bound
-        was computed from, so simulating the chain later reuses them.
+        The entry is the chain's :class:`Timeline`, its
+        :class:`MakespanBound` or None.  The key is memoised in
+        ``caches.evals`` per (partition, batch, sc), so a warm lookup
+        builds no stage execs; the graph is the :meth:`_task_graph` that
+        computing the key on a miss built, else None.
         """
         chain_key = (
             "timeline",
@@ -920,22 +945,20 @@ class DiffusionPipePlanner:
             graph = self._task_graph(partition, sc)
             tl_key = graph[0]
             self.caches.evals.put(chain_key, tl_key)
-        entry = self.caches.timelines.get(tl_key)
-        if isinstance(entry, Timeline) or (entry is not None and not exact):
+        return tl_key, self.caches.timelines.get(tl_key), graph
+
+    def _pipeline(
+        self, partition: PartitionPlan, batch_per_group: float, sc: bool
+    ) -> Timeline:
+        """The simulated :class:`Timeline` of one stage chain, memoised
+        in ``caches.timelines`` where it replaces the chain's bound."""
+        tl_key, entry, graph = self._chain(partition, batch_per_group, sc)
+        if isinstance(entry, Timeline):
             return entry
-        graph_inputs = built.pop(tl_key, None)
-        if graph_inputs is None:
-            if graph is None:
-                graph = self._task_graph(partition, sc)
-            _, build, positions, weights = graph
-            graph_inputs = (build(), positions, weights)
-        if exact:
-            entry = simulate(*graph_inputs)
-        else:
-            entry = MakespanBound(makespan_lower_bound(graph_inputs[0]))
-            built[tl_key] = graph_inputs
-        self.caches.timelines.put(tl_key, entry)
-        return entry
+        _, build, positions, weights = graph or self._task_graph(partition, sc)
+        timeline = simulate(build(), positions, weights)
+        self.caches.timelines.put(tl_key, timeline)
+        return timeline
 
     def _task_graph(self, partition: PartitionPlan, sc: bool):
         """``(timelines key, build thunk, positions, device weights)``

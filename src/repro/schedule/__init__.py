@@ -24,7 +24,7 @@ from .families import (
     register_schedule_family,
     schedule_family_names,
 )
-from .simulator import makespan_lower_bound, simulate
+from .simulator import simulate
 from .stages import StageExec, validate_stages
 from .tasks import (
     COMPUTE_KINDS,
@@ -47,7 +47,6 @@ __all__ = [
     "BIDIRECTIONAL_COMM_SCALE",
     # simulation + data types
     "simulate",
-    "makespan_lower_bound",
     "StageExec",
     "validate_stages",
     "COMPUTE_KINDS",

@@ -37,9 +37,8 @@ oracle :func:`repro.oracles.simulate_reference` (see
 from __future__ import annotations
 
 from collections import defaultdict
-from graphlib import CycleError, TopologicalSorter
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import ScheduleError, SimulationError
 from .tasks import Task, validate_task_graph
@@ -204,30 +203,20 @@ def makespan_lower_bound(tasks: Sequence[Task]) -> float:
       :data:`LOAD_BOUND_SLACK` (a resource runs one task at a time,
       but sums in another order than the simulator).
 
-    Raises :class:`ScheduleError` on malformed graphs, like
-    :func:`simulate`.
+    Tasks must come in dependency order, as every schedule builder
+    emits them; raises :class:`ScheduleError` otherwise (a cycle
+    included) and on the malformed graphs :func:`simulate` rejects.
     """
-    by_id = validate_task_graph(list(tasks))
-    try:
-        # The schedule builders emit every task after its dependencies.
-        return _bound_in_order(by_id.values())
-    except KeyError:
-        graph = {tid: t.deps for tid, t in by_id.items()}
-        try:
-            order = list(TopologicalSorter(graph).static_order())
-        except CycleError as exc:
-            raise ScheduleError(f"dependency cycle: {exc.args[1]}") from exc
-        return _bound_in_order(by_id[tid] for tid in order)
-
-
-def _bound_in_order(tasks: Iterable[Task]) -> float:
-    """:func:`makespan_lower_bound` of tasks listed in dependency order;
-    raises ``KeyError`` at a task listed before one of its deps."""
+    validate_task_graph(list(tasks))
     end: dict[str, float] = {}
     load: dict[str, float] = defaultdict(float)
     for t in tasks:
         start = 0.0
         for d in t.deps:
+            if d not in end:
+                raise ScheduleError(
+                    f"task {t.task_id} is listed before its dependency {d}"
+                )
             if end[d] > start:
                 start = end[d]
         end[t.task_id] = start + t.duration

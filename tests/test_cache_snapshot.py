@@ -136,7 +136,14 @@ def test_snapshot_round_trips_bound_entries(tmp_path):
     cluster = single_node(2)
     profile = Profiler(cluster).profile(model)
     warm = PlannerCaches()
-    _warm_sweep(warm, profile, model, cluster)
+    # With M = 8 too, some candidates are pruned on their bound alone.
+    planner = DiffusionPipePlanner(
+        model, cluster, profile, caches=warm,
+        options=PlannerOptions(group_sizes=(2,),
+                               micro_batch_counts=(1, 2, 4, 8)),
+    )
+    for batch in BATCHES:
+        planner.plan(batch)
     kinds = {key: type(value) for key, value in warm.timelines.items()}
     assert set(kinds.values()) == {Timeline, MakespanBound}
     path = tmp_path / "caches.snap"

@@ -1,8 +1,10 @@
 """Planner (front-end workflow) tests."""
 
+import math
+
 import pytest
 
-from repro.core import DiffusionPipePlanner, PlannerOptions
+from repro.core import DiffusionPipePlanner, PlannerOptions, PrunedConfig
 from repro.core.caches import PlannerCaches
 from repro.errors import ConfigurationError
 from repro.models.zoo import uniform_model
@@ -98,7 +100,7 @@ def _differential_cases():
 
 
 def test_plan_picks_max_throughput():
-    """Differential: the bounded best-first search in plan() returns the
+    """Differential: the bound-pruned search in plan() returns the
     first-index argmax of the exhaustive candidate_plans(), bit for bit."""
     from repro.profiling import Profiler
 
@@ -109,6 +111,37 @@ def test_plan_picks_max_throughput():
         assert got.config_label == want.config_label, label
         assert float.hex(got.throughput) == float.hex(want.throughput), label
         assert got == want, label
+
+
+def test_pruned_bounds_are_sound():
+    """evaluate(..., beat=...) prunes only on an upper bound of the
+    throughput the exhaustive evaluate() reports: the task-graph bound
+    (beat=inf stops there) and the simulated-makespan bound (beat at the
+    exact throughput either stops there, tight, or fills the candidate
+    to the very plan the exhaustive call returns)."""
+    from repro.profiling import Profiler
+
+    for label, model, cluster, options, batch in _differential_cases():
+        profile = Profiler(cluster).profile(model)
+        exhaustive, bounded = (
+            DiffusionPipePlanner(model, cluster, profile, options,
+                                 caches=PlannerCaches())
+            for _ in range(2)
+        )
+        for D, S, M in exhaustive.candidate_configs(batch):
+            ev = exhaustive.evaluate(batch, D, S, M)
+            if ev is None:
+                assert bounded.evaluate(batch, D, S, M, beat=0.0) is None
+                continue
+            thr = ev.plan.throughput
+            pruned = bounded.evaluate(batch, D, S, M, beat=math.inf)
+            assert isinstance(pruned, PrunedConfig), label
+            assert pruned.bound >= thr, (label, D, S, M)
+            tight = bounded.evaluate(batch, D, S, M, beat=thr)
+            if isinstance(tight, PrunedConfig):
+                assert tight.bound == thr, (label, D, S, M)
+            else:
+                assert tight.plan == ev.plan, (label, D, S, M)
 
 
 def test_plan_breaks_exact_ties_by_candidate_index(

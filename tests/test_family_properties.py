@@ -29,11 +29,11 @@ from repro.schedule import (
     StageExec,
     TaskKind,
     get_family,
-    makespan_lower_bound,
     simulate,
     validate_task_graph,
 )
 from repro.oracles import simulate_reference
+from repro.schedule.simulator import makespan_lower_bound
 
 COMPUTE_FWD = (TaskKind.FORWARD,)
 COMPUTE_BWD = (TaskKind.BACKWARD, TaskKind.BACKWARD_W)

@@ -1,8 +1,8 @@
 """Fuzzed differential of the planner's bounded search.
 
-``plan()`` visits candidates best-first by an upper bound on their
-throughput and fills only those whose bound can still win;
-``candidate_plans()`` evaluates every candidate.  On random synthetic
+``plan()`` fills a candidate only while an upper bound on its
+throughput can still beat the best found so far;
+``candidate_plans()`` evaluates every candidate in full.  On random synthetic
 models, clusters and options both must name the same plan, bit for
 bit, with ties going to the first candidate in ``candidate_configs``
 order.

